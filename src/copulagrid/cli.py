@@ -27,7 +27,6 @@ from .errors import (
     ValidationError,
 )
 from .extremal import maximize_convex
-from .copulas import to_tensor_measure
 from .measures import TensorMeasure, cdf_eval_tensor, quantile
 from .projective import (
     IndexUniverse,
@@ -201,9 +200,7 @@ def cmd_distance(args) -> int:
             raise CompatibilityError("marginal distance expects single-entry files")
         value = w1_one_dim(next(iter(a.values())), next(iter(b.values())))
     else:
-        ta = to_tensor_measure(a) if isinstance(a, CheckerboardCopula) else a
-        tb = to_tensor_measure(b) if isinstance(b, CheckerboardCopula) else b
-        value = transport_distance(ta, tb)
+        value = transport_distance(a, b)
     print(f"{value:.12g}")
     return 0
 

@@ -5,9 +5,12 @@ mass per cell of the uniform n^d grid; cell ``(k_1, ..., k_d)`` (zero-based)
 covers the half-open box ``prod_j (k_j/n, (k_j+1)/n]``.  Mass is uniform
 within each cell, which makes every operation here exact at grid nodes.
 
-Construction enforces shape, nonnegativity, and total mass; the uniform-margin
-requirement is checked by :func:`validate_copula`, which reports instead of
-raising so that broken inputs can be diagnosed.
+A copula is a measure on the grid of cell upper corners ``(k+1)/n``: it
+shares construction checks (shape, nonnegativity, total mass), equality and
+axis reduction with tensor measures through
+:class:`~copulagrid.measures.GridMeasure`.  The uniform-margin requirement is
+checked by :func:`validate_copula`, which reports instead of raising so that
+broken inputs can be diagnosed.
 """
 
 from __future__ import annotations
@@ -19,51 +22,32 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CompatibilityError, DomainError, InternalError, ValidationError
-from .measures import MASS_TOL, TensorMeasure, canonical_labels
+from .measures import MASS_TOL, GridMeasure, TensorMeasure, canonical_labels, checked_mass, sum_out
 
 #: margin deviation accepted by validate_copula
 MARGIN_TOL = 1e-12
 
 
-class CheckerboardCopula:
+class CheckerboardCopula(GridMeasure):
     """Order-``n`` checkerboard measure over an ordered index subset."""
 
-    __slots__ = ("labels", "order", "mass")
+    __slots__ = ("order",)
 
     def __init__(self, labels, order: int, mass):
         labels = canonical_labels(labels)
         order = int(order)
         if order < 1:
             raise ValidationError(f"order must be >= 1, got {order}")
-        arr = np.asarray(mass, dtype=float)
-        expected = (order,) * len(labels)
-        if arr.shape != expected:
-            raise ValidationError(f"mass shape {arr.shape} does not match {expected}")
-        if np.any(arr < 0) or np.any(~np.isfinite(arr)):
-            raise ValidationError("cell masses must be finite and nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"total mass is {total!r}, expected 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        self.mass = checked_mass(mass, (order,) * len(labels))
         self.labels = labels
         self.order = order
-        self.mass = arr
 
     @property
-    def ndim(self) -> int:
-        return len(self.labels)
-
-    def __eq__(self, other):
-        if not isinstance(other, CheckerboardCopula):
-            return NotImplemented
-        return (
-            self.labels == other.labels
-            and self.order == other.order
-            and np.array_equal(self.mass, other.mass)
-        )
-
-    __hash__ = None
+    def grid(self) -> tuple:
+        """Cell upper corners ``(k+1)/n`` on every axis, computed on access."""
+        axis = np.arange(1, self.order + 1) / self.order
+        axis.setflags(write=False)
+        return (axis,) * self.ndim
 
     def __repr__(self):
         return f"CheckerboardCopula(labels={self.labels!r}, order={self.order})"
@@ -159,16 +143,9 @@ def validate_copula(c: CheckerboardCopula) -> CopulaValidationReport:
 def marginalize_copula(c: CheckerboardCopula, labels: Iterable) -> CheckerboardCopula:
     """Sum out the axes not in ``labels``; the result is again a copula.
 
-    Axes are dropped one at a time from the highest label down, matching the
-    reduction order of tensor marginalization.
+    Axes are dropped in the order of :func:`~copulagrid.measures.sum_out`.
     """
-    target = canonical_labels(labels)
-    if not set(target) <= set(c.labels):
-        raise CompatibilityError(f"{target!r} is not a subset of {c.labels!r}")
-    mass = c.mass
-    for i in reversed(range(len(c.labels))):
-        if c.labels[i] not in target:
-            mass = mass.sum(axis=i)
+    target, mass = sum_out(c, labels)
     return CheckerboardCopula(target, c.order, mass)
 
 
@@ -201,9 +178,7 @@ def cdf_eval_copula(c: CheckerboardCopula, u: Sequence[float]) -> float:
 
 def to_tensor_measure(c: CheckerboardCopula) -> TensorMeasure:
     """Atomize at cell upper corners ``(k+1)/n``; CDFs agree at grid nodes."""
-    n = c.order
-    axis = np.arange(1, n + 1) / n
-    return TensorMeasure(c.labels, (axis,) * c.ndim, c.mass)
+    return TensorMeasure(c.labels, c.grid, c.mass)
 
 
 def fit_uniform_margins(mass, max_dev: float = 5e-15, max_iter: int = 20000) -> np.ndarray:

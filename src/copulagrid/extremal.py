@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula
+from .copulas import CheckerboardCopula, random_copula
 from .errors import (
     CompatibilityError,
     DomainError,
@@ -48,8 +48,8 @@ def permutation_copula(perm: Sequence[int], labels: Iterable = (0, 1)) -> Checke
     return CheckerboardCopula(labels, n, mass)
 
 
-def _matching_through(support: np.ndarray, i0: int, j0: int):
-    """Perfect matching of the support containing the edge ``(i0, j0)``.
+def _perfect_matching(support: np.ndarray, forced: tuple = (-1, -1)):
+    """Perfect matching of the support, containing the edge ``forced`` if given.
 
     Kuhn's augmenting-path search, visiting rows and columns in increasing
     index order so the result is deterministic.  Returns ``None`` when no
@@ -57,7 +57,9 @@ def _matching_through(support: np.ndarray, i0: int, j0: int):
     """
     n = support.shape[0]
     match_col = [-1] * n  # column -> row
-    match_col[j0] = i0
+    i0, j0 = forced
+    if j0 >= 0:
+        match_col[j0] = i0
 
     def augment(row, seen):
         for col in range(n):
@@ -72,29 +74,6 @@ def _matching_through(support: np.ndarray, i0: int, j0: int):
         if row == i0:
             continue
         if not augment(row, [col == j0 for col in range(n)]):
-            return None
-    perm = [-1] * n
-    for col, row in enumerate(match_col):
-        perm[row] = col
-    return perm
-
-
-def _matching_plain(support: np.ndarray):
-    """Perfect matching of the support without a forced edge, if one exists."""
-    n = support.shape[0]
-    match_col = [-1] * n
-
-    def augment(row, seen):
-        for col in range(n):
-            if support[row, col] and not seen[col]:
-                seen[col] = True
-                if match_col[col] == -1 or augment(match_col[col], seen):
-                    match_col[col] = row
-                    return True
-        return False
-
-    for row in range(n):
-        if not augment(row, [False] * n):
             return None
     perm = [-1] * n
     for col, row in enumerate(match_col):
@@ -132,11 +111,11 @@ def birkhoff_decompose(c: CheckerboardCopula):
             raise InternalError("decomposition exceeded its term budget")
         flat = np.where(support.ravel(), work.ravel(), np.inf)
         i0, j0 = divmod(int(np.argmin(flat)), n)
-        perm = _matching_through(support, i0, j0)
+        perm = _perfect_matching(support, (i0, j0))
         if perm is None:
             # near-degenerate ties can make the smallest entry unmatchable;
             # any permutation of the support still zeroes its own minimum
-            perm = _matching_plain(support)
+            perm = _perfect_matching(support)
         if perm is None:
             raise InternalError("no permutation found in a doubly stochastic support")
         theta = min(float(work[i, perm[i]]) for i in range(n))
@@ -174,8 +153,6 @@ def maximize_convex(
     trigger a warning, since for a genuinely convex functional the interior
     values can never exceed the extremal maximum.
     """
-    from .copulas import random_copula
-
     n = int(order)
     if n < 1:
         raise DomainError(f"order must be >= 1, got {n}")

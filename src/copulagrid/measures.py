@@ -3,8 +3,10 @@
 Marginals live on the extended real line: atomic laws may place mass at
 ``-inf`` or ``+inf``, continuous laws are piecewise-linear CDFs on a finite
 interval.  Tensor measures are discrete probability measures on a product
-grid, with one axis per index label.  Everything is immutable after
-construction and all operations are pure functions.
+grid, with one axis per index label.  :class:`GridMeasure` is the core they
+share with checkerboard copulas: construction checks, equality and axis
+reduction.  Everything is immutable after construction and all operations are
+pure functions.
 """
 
 from __future__ import annotations
@@ -109,10 +111,6 @@ class Marginal:
             raise ValidationError("CDF must start at exactly 0 and end at exactly 1")
         return cls(CONTINUOUS, xs, fs=fs, _token=_CTOR)
 
-    def support_points(self) -> np.ndarray:
-        """Atom positions, or knot positions for a continuous law."""
-        return self.xs
-
     def __eq__(self, other):
         if not isinstance(other, Marginal):
             return NotImplemented
@@ -209,7 +207,65 @@ def _smallest_reaching(m: Marginal, u: float, lo: float, y: float, hi: float) ->
             lo_b = mid
 
 
-class TensorMeasure:
+def checked_mass(mass, shape: tuple) -> np.ndarray:
+    """Read-only copy of ``mass``, checked for shape, sign, finiteness and total one."""
+    arr = np.asarray(mass, dtype=float)
+    if arr.shape != shape:
+        raise ValidationError(f"mass shape {arr.shape} does not match {shape}")
+    if np.any(arr < 0) or np.any(~np.isfinite(arr)):
+        raise ValidationError("masses must be finite and nonnegative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValidationError(f"total mass is {total!r}, expected 1")
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+class GridMeasure:
+    """Core of every discrete measure here: labels, a grid, and a mass tensor.
+
+    Subclasses store ``labels`` and ``mass`` (built by :func:`checked_mass`)
+    and provide ``grid``, one strictly increasing axis of node positions per
+    label.  Equality compares labels, grid and mass of measures of one type.
+    """
+
+    __slots__ = ("labels", "mass")
+
+    @property
+    def ndim(self) -> int:
+        return len(self.labels)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.labels == other.labels
+            and all(np.array_equal(a, b) for a, b in zip(self.grid, other.grid))
+            and np.array_equal(self.mass, other.mass)
+        )
+
+    __hash__ = None
+
+
+def sum_out(m: GridMeasure, labels: Iterable) -> tuple:
+    """Canonical ``labels`` and the mass of ``m`` with every other axis summed out.
+
+    Dropped axes are summed one at a time from the highest label down, so
+    projecting in one step or through any label-descending chain of
+    intermediate subsets produces bitwise-identical tensors.
+    """
+    target = canonical_labels(labels)
+    if not set(target) <= set(m.labels):
+        raise CompatibilityError(f"{target!r} is not a subset of {m.labels!r}")
+    mass = m.mass
+    for i in reversed(range(len(m.labels))):
+        if m.labels[i] not in target:
+            mass = mass.sum(axis=i)
+    return target, mass
+
+
+class TensorMeasure(GridMeasure):
     """A discrete probability measure on a product grid.
 
     ``labels`` is the ordered index subset (strictly increasing), ``grid`` a
@@ -218,7 +274,7 @@ class TensorMeasure:
     one up to :data:`MASS_TOL`.
     """
 
-    __slots__ = ("labels", "grid", "mass")
+    __slots__ = ("grid",)
 
     def __init__(self, labels, grid, mass):
         labels = tuple(labels)
@@ -243,41 +299,15 @@ class TensorMeasure:
             if np.any(np.diff(arr) <= 0):
                 raise ValidationError(f"axis {lab!r} grid must be strictly increasing")
             axes.append(arr)
-        arr = np.asarray(mass, dtype=float)
-        expected = tuple(a.size for a in axes)
-        if arr.shape != expected:
-            raise ValidationError(f"mass shape {arr.shape} does not match grid {expected}")
-        if np.any(arr < 0) or np.any(~np.isfinite(arr)):
-            raise ValidationError("masses must be finite and nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"total mass is {total!r}, expected 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        self.mass = checked_mass(mass, tuple(a.size for a in axes))
         self.labels = labels
         self.grid = tuple(axes)
-        self.mass = arr
-
-    @property
-    def ndim(self) -> int:
-        return len(self.labels)
 
     def axis_of(self, label) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
             raise CompatibilityError(f"label {label!r} not in {self.labels!r}") from None
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorMeasure):
-            return NotImplemented
-        return (
-            self.labels == other.labels
-            and all(np.array_equal(a, b) for a, b in zip(self.grid, other.grid))
-            and np.array_equal(self.mass, other.mass)
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return f"TensorMeasure(labels={self.labels!r}, shape={self.mass.shape})"
@@ -286,17 +316,9 @@ class TensorMeasure:
 def marginalize_tensor(t: TensorMeasure, labels: Iterable) -> TensorMeasure:
     """Project onto the axes in ``labels`` by summing out everything else.
 
-    Dropped axes are summed one at a time from the highest label down, so
-    projecting in one step or through any label-descending chain of
-    intermediate subsets produces bitwise-identical tensors.
+    Axes are dropped in the order of :func:`sum_out`.
     """
-    target = canonical_labels(labels)
-    if not set(target) <= set(t.labels):
-        raise CompatibilityError(f"{target!r} is not a subset of {t.labels!r}")
-    mass = t.mass
-    for i in reversed(range(len(t.labels))):
-        if t.labels[i] not in target:
-            mass = mass.sum(axis=i)
+    target, mass = sum_out(t, labels)
     grid = tuple(t.grid[t.labels.index(lab)] for lab in target)
     return TensorMeasure(target, grid, mass)
 

@@ -16,7 +16,13 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, marginalize_copula, validate_copula
+from .copulas import (
+    CheckerboardCopula,
+    make_comonotone,
+    make_independence,
+    marginalize_copula,
+    validate_copula,
+)
 from .errors import CompatibilityError, DomainError, ValidationError
 from .measures import TensorMeasure, canonical_labels, marginalize_tensor
 
@@ -74,13 +80,6 @@ class IndexUniverse:
 _CTOR = object()
 
 
-def subset_sort_key(subset: tuple, ordered_labels: tuple) -> tuple:
-    """Canonical order of finite subsets: by max label, then size, then lex."""
-    pos = {lab: i for i, lab in enumerate(ordered_labels)}
-    ranks = tuple(pos[lab] for lab in subset)
-    return (max(ranks), len(ranks), ranks)
-
-
 def canonical_subsets(universe: IndexUniverse) -> Iterator[tuple]:
     """Enumerate nonempty finite subsets in the canonical order.
 
@@ -121,30 +120,27 @@ class ProjectiveFamily:
         self._cache = {}
         self._lock = threading.Lock()
 
-    def evaluated_subsets(self) -> tuple:
-        with self._lock:
-            return tuple(self._cache)
+
+def _member_kind(kind: str) -> tuple:
+    # member class and marginalizer; built per call so that rebinding the
+    # module-level marginalizers (as bench/tracing.py does) reaches check_consistency
+    return {
+        COPULA: (CheckerboardCopula, marginalize_copula),
+        GENERAL: (TensorMeasure, marginalize_tensor),
+    }[kind]
 
 
 def _check_member(f: ProjectiveFamily, subset: tuple, value):
+    member_class, _ = _member_kind(f.kind)
+    if not isinstance(value, member_class):
+        raise ValidationError(f"{f.kind} family rule returned {type(value).__name__}")
+    if value.labels != subset:
+        raise CompatibilityError(f"rule returned labels {value.labels!r} for subset {subset!r}")
     if f.kind == COPULA:
-        if not isinstance(value, CheckerboardCopula):
-            raise ValidationError(f"copula family rule returned {type(value).__name__}")
-        if value.labels != subset:
-            raise CompatibilityError(
-                f"rule returned labels {value.labels!r} for subset {subset!r}"
-            )
         report = validate_copula(value)
         if not report.passed:
             raise ValidationError(
                 f"family member over {subset!r} is not a copula: {report.issues[0].message}"
-            )
-    else:
-        if not isinstance(value, TensorMeasure):
-            raise ValidationError(f"general family rule returned {type(value).__name__}")
-        if value.labels != subset:
-            raise CompatibilityError(
-                f"rule returned labels {value.labels!r} for subset {subset!r}"
             )
     return value
 
@@ -180,25 +176,12 @@ class ConsistencyReport:
 
 
 def _members_match(a, b, tol: float):
-    """Entrywise comparison of two members over the same subset."""
-    if isinstance(a, CheckerboardCopula) and isinstance(b, CheckerboardCopula):
-        if a.order != b.order:
-            return float("inf"), f"orders differ: {a.order} vs {b.order}"
-        dev = float(np.max(np.abs(a.mass - b.mass)))
-        return dev, "" if dev <= tol else f"mass deviation {dev!r}"
-    if isinstance(a, TensorMeasure) and isinstance(b, TensorMeasure):
-        for ga, gb in zip(a.grid, b.grid):
-            if ga.shape != gb.shape or not np.array_equal(ga, gb):
-                return float("inf"), "grids differ"
-        dev = float(np.max(np.abs(a.mass - b.mass)))
-        return dev, "" if dev <= tol else f"mass deviation {dev!r}"
-    return float("inf"), "member kinds differ"
-
-
-def _marginalize_member(value, subset: tuple):
-    if isinstance(value, CheckerboardCopula):
-        return marginalize_copula(value, subset)
-    return marginalize_tensor(value, subset)
+    """Entrywise comparison of two members of one family over the same subset."""
+    for ga, gb in zip(a.grid, b.grid):
+        if ga.shape != gb.shape or not np.array_equal(ga, gb):
+            return float("inf"), "grids differ"
+    dev = float(np.max(np.abs(a.mass - b.mass)))
+    return dev, "" if dev <= tol else f"mass deviation {dev!r}"
 
 
 def check_consistency(
@@ -215,6 +198,7 @@ def check_consistency(
     canon = [f.universe.validate_subset(s) for s in subsets]
     if not canon:
         raise DomainError("check_consistency needs at least one subset")
+    _, marginalize = _member_kind(f.kind)
     checks = []
     for subset in canon:
         first = family_member(f, subset)
@@ -228,7 +212,7 @@ def check_consistency(
         for j2 in canon:
             if not set(j1) <= set(j2):
                 continue
-            projected = _marginalize_member(family_member(f, j2), j1)
+            projected = marginalize(family_member(f, j2), j1)
             dev, msg = _members_match(family_member(f, j1), projected, tol)
             checks.append(PairCheck(j1, j2, dev, dev <= tol, msg))
     passed = all(c.ok for c in checks)
@@ -250,13 +234,9 @@ def family_from_copula(c: CheckerboardCopula) -> ProjectiveFamily:
 
 def independence_family(universe: IndexUniverse, order: int) -> ProjectiveFamily:
     """Product copula of a given order over every finite subset."""
-    from .copulas import make_independence
-
     return ProjectiveFamily(universe, COPULA, lambda subset: make_independence(subset, order))
 
 
 def comonotone_family(universe: IndexUniverse, order: int) -> ProjectiveFamily:
     """Diagonal copula of a given order over every finite subset."""
-    from .copulas import make_comonotone
-
     return ProjectiveFamily(universe, COPULA, lambda subset: make_comonotone(subset, order))

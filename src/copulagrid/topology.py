@@ -23,14 +23,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, fit_uniform_margins, to_tensor_measure
+from .copulas import CheckerboardCopula, fit_uniform_margins
 from .errors import (
     CompatibilityError,
     ConfigurationError,
     DomainError,
     InternalError,
 )
-from .measures import ATOMIC, Marginal, TensorMeasure, cdf_eval
+from .measures import ATOMIC, GridMeasure, Marginal, cdf_eval
 from .projective import (
     ProjectiveFamily,
     canonical_subsets,
@@ -222,7 +222,7 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
     return result
 
 
-def _support(t: TensorMeasure):
+def _support(t: GridMeasure):
     """Coordinates (in phi space) and masses of the strictly positive nodes."""
     mesh = np.meshgrid(*t.grid, indexing="ij")
     coords = np.stack([g.ravel() for g in mesh], axis=1)
@@ -232,12 +232,14 @@ def _support(t: TensorMeasure):
     return phi_coords.reshape(-1, t.ndim), masses[keep]
 
 
-def transport_plan(a: TensorMeasure, b: TensorMeasure) -> TransportResult:
-    """Exact optimal transport between two tensor measures on the same axes.
+def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
+    """Exact optimal transport between two measures on the same axes.
 
-    The solve runs in a canonical argument order and is transposed back, so
-    ``transport_distance(a, b)`` and ``transport_distance(b, a)`` are equal
-    bit for bit.
+    Either side may be a tensor measure or a checkerboard copula; a copula
+    is transported as atoms at its cell upper corners, exactly like its
+    ``to_tensor_measure``.  The solve runs in a canonical argument order and
+    is transposed back, so ``transport_distance(a, b)`` and
+    ``transport_distance(b, a)`` are equal bit for bit.
     """
     if a.labels != b.labels:
         raise CompatibilityError(f"index subsets differ: {a.labels!r} vs {b.labels!r}")
@@ -262,7 +264,7 @@ def transport_plan(a: TensorMeasure, b: TensorMeasure) -> TransportResult:
     return result
 
 
-def transport_distance(a: TensorMeasure, b: TensorMeasure) -> float:
+def transport_distance(a: GridMeasure, b: GridMeasure) -> float:
     """Wasserstein-1 distance under the compactified max ground metric."""
     return transport_plan(a, b).value
 
@@ -351,12 +353,6 @@ class FddMetricConfig:
             raise DomainError("term cap must be positive")
 
 
-def _as_tensor(member) -> TensorMeasure:
-    if isinstance(member, CheckerboardCopula):
-        return to_tensor_measure(member)
-    return member
-
-
 def fdd_distance(
     f: ProjectiveFamily, g: ProjectiveFamily, config: FddMetricConfig = FddMetricConfig()
 ) -> float:
@@ -364,8 +360,9 @@ def fdd_distance(
 
     Term ``k`` (one-based) contributes ``2**-k * min(cap, d_k)`` where ``d_k``
     is the transport distance between the members over the k-th canonical
-    subset, so the total is bounded by one and vanishes exactly when the
-    compared members coincide.
+    subset (copula members are transported directly, see
+    :func:`transport_plan`), so the total is bounded by one and vanishes
+    exactly when the compared members coincide.
     """
     if f.universe != g.universe:
         raise CompatibilityError("families live over different index universes")
@@ -373,9 +370,7 @@ def fdd_distance(
     for k, subset in enumerate(
         itertools.islice(canonical_subsets(f.universe), config.depth), start=1
     ):
-        d = transport_distance(
-            _as_tensor(family_member(f, subset)), _as_tensor(family_member(g, subset))
-        )
+        d = transport_distance(family_member(f, subset), family_member(g, subset))
         total += 2.0 ** (-k) * min(config.term_cap, d)
     return total
 
@@ -519,9 +514,7 @@ def continuity_probe(
                 lab: _perturb_marginal(m, eps, marg_dirs[lab])
                 for lab, m in marginals.items()
             }
-        input_dist = transport_distance(
-            to_tensor_measure(pert_copula), to_tensor_measure(copula)
-        )
+        input_dist = transport_distance(pert_copula, copula)
         for lab, m in marginals.items():
             input_dist += w1_one_dim(pert_marginals[lab], m)
         pert_grids = _auto_grids(pert_marginals)
