@@ -38,9 +38,9 @@ class CheckerboardCopula(GridMeasure):
         order = int(order)
         if order < 1:
             raise ValidationError(f"order must be >= 1, got {order}")
-        self.mass = checked_mass(mass, (order,) * len(labels))
-        self.labels = labels
-        self.order = order
+        object.__setattr__(self, "mass", checked_mass(mass, (order,) * len(labels)))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "order", order)
 
     @property
     def grid(self) -> tuple:

@@ -228,9 +228,17 @@ class GridMeasure:
     Subclasses store ``labels`` and ``mass`` (built by :func:`checked_mass`)
     and provide ``grid``, one strictly increasing axis of node positions per
     label.  Equality compares labels, grid and mass of measures of one type.
+    Attributes are set once, in ``__init__``; assigning or deleting one later
+    raises :class:`AttributeError`.
     """
 
     __slots__ = ("labels", "mass")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
     @property
     def ndim(self) -> int:
@@ -299,15 +307,9 @@ class TensorMeasure(GridMeasure):
             if np.any(np.diff(arr) <= 0):
                 raise ValidationError(f"axis {lab!r} grid must be strictly increasing")
             axes.append(arr)
-        self.mass = checked_mass(mass, tuple(a.size for a in axes))
-        self.labels = labels
-        self.grid = tuple(axes)
-
-    def axis_of(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise CompatibilityError(f"label {label!r} not in {self.labels!r}") from None
+        object.__setattr__(self, "mass", checked_mass(mass, tuple(a.size for a in axes)))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "grid", tuple(axes))
 
     def __repr__(self):
         return f"TensorMeasure(labels={self.labels!r}, shape={self.mass.shape})"

@@ -3,10 +3,14 @@
 The extended line is compactified by ``phi(x) = 1/2 + arctan(x)/pi`` and
 distances between discrete measures are exact Wasserstein-1 values under the
 ground metric ``max_j |phi(x_j) - phi(y_j)|``, solved as a minimum-cost
-transportation problem with fully deterministic pivoting (most negative
-reduced cost, lowest-index tie-breaks, lowest-index anti-cycling fallback).
-The solver returns the plan together with dual potentials, and every call is
-checked against its own feasibility and complementary-slackness certificate.
+transportation problem by the network simplex method with fully
+deterministic pivoting (north-west corner start, most negative reduced cost,
+lowest-index tie-breaks, lowest-index anti-cycling fallback).  The basis is a
+spanning tree rooted at the first row, kept between pivots: each pivot walks
+the cycle up the tree, moves the subtree cut off by the leaving arc, and
+re-prices only that subtree.  The solver returns the plan together with dual
+potentials, and every call is checked against its own feasibility and
+complementary-slackness certificate.
 
 Families are compared by a capped, geometrically weighted sum of transport
 distances over the canonical subset enumeration, which metrizes convergence
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -65,6 +68,12 @@ def phi_inv(t: float) -> float:
 _PIVOT_TOL = 1e-12
 _FEASIBILITY_TOL = 1e-10
 _SLACKNESS_TOL = 1e-8
+#: pivot budget of one solve: a base plus an allowance per row and column
+_PIVOT_BUDGET = 50000
+_PIVOT_BUDGET_PER_NODE = 100
+#: degenerate pivots in a row, beyond one per row and column, before the
+#: lowest-index entering rule takes over
+_DEGENERATE_SLACK = 50
 
 
 @dataclass(eq=False)
@@ -93,90 +102,68 @@ class TransportResult:
         return max(dual_feas, comp)
 
 
-def _tree_potentials(basis, cost, m, n):
-    adj = [[] for _ in range(m + n)]
-    for i, j in basis:
-        adj[i].append((m + j, (i, j)))
-        adj[m + j].append((i, (i, j)))
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    stack = [0]
-    seen = [False] * (m + n)
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for nxt, (i, j) in adj[node]:
-            if seen[nxt]:
-                continue
-            seen[nxt] = True
-            if nxt >= m:
-                v[nxt - m] = cost[i, j] - u[i]
-            else:
-                u[nxt] = cost[i, j] - v[j]
-            stack.append(nxt)
-    if not all(seen):
-        raise InternalError("transport basis is not a spanning tree")
-    return u, v
-
-
-def _tree_path(basis, start, goal, m):
-    adj = {}
-    for i, j in basis:
-        adj.setdefault(i, []).append((m + j, (i, j)))
-        adj.setdefault(m + j, []).append((i, (i, j)))
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        for nxt, arc in adj.get(node, ()):
-            if nxt not in parent:
-                parent[nxt] = (node, arc)
-                queue.append(nxt)
-    if goal not in parent:
-        raise InternalError("transport basis lost connectivity")
-    arcs = []
-    node = goal
-    while parent[node] is not None:
-        node, arc = parent[node]
-        arcs.append(arc)
-    arcs.reverse()
-    return arcs
-
-
 def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> TransportResult:
     m, n = cost.shape
+    # the basis is a spanning tree over rows 0..m-1 and columns m..m+n-1,
+    # rooted at row 0 and kept between pivots; the north-west corner rule
+    # lays it out as a staircase, each new node hanging from the previous one
     plan = np.zeros((m, n))
     ra, rb = a.copy(), b.copy()
-    basis = []
+    parent = [0] * (m + n)
     i = j = 0
     while True:
         amt = ra[i] if ra[i] <= rb[j] else rb[j]
         plan[i, j] = amt
         ra[i] -= amt
         rb[j] -= amt
-        basis.append((i, j))
         if i == m - 1 and j == n - 1:
             break
         if ra[i] == 0.0 and i < m - 1:
             i += 1
+            parent[i] = m + j
         elif j < n - 1:
             j += 1
+            parent[m + j] = i
         else:
             i += 1
-    basis_set = set(basis)
-    basis = sorted(basis_set)
-    max_pivots = 50000 + 100 * (m + n)
+            parent[i] = m + j
+    children = [[] for _ in range(m + n)]
+    for node in range(1, m + n):
+        children[parent[node]].append(node)
+    depth = [0] * (m + n)
+    pot = [0.0] * (m + n)
+    potential = np.zeros(m + n)
+    u, v = potential[:m], potential[m:]
+    arc_cost = cost.item
+
+    def hang(stack):
+        # a node's potential is its arc cost less its parent's potential, so
+        # re-pricing a moved subtree top-down gives the same floats as
+        # pricing the whole tree from the root; the walk does its scalar
+        # arithmetic on Python floats and copies the results into the array
+        # that pricing reads
+        moved = []
+        while stack:
+            node = stack.pop()
+            up = parent[node]
+            depth[node] = depth[up] + 1
+            c = arc_cost(node, up - m) if node < m else arc_cost(up, node - m)
+            pot[node] = c - pot[up]
+            moved.append(node)
+            stack.extend(children[node])
+        potential[moved] = [pot[k] for k in moved]
+
+    hang(list(children[0]))
+    rc = np.empty((m, n))
+    max_pivots = _PIVOT_BUDGET + _PIVOT_BUDGET_PER_NODE * (m + n)
     pivots = 0
     degenerate_run = 0
     blands_rule = False
     while True:
-        u, v = _tree_potentials(basis, cost, m, n)
-        rc = cost - u[:, None] - v[None, :]
-        negative = rc < -_PIVOT_TOL
-        if not negative.any():
+        np.subtract(cost, u[:, None], out=rc)
+        np.subtract(rc, v, out=rc)
+        flat = int(np.argmin(rc))
+        if not rc.flat[flat] < -_PIVOT_TOL:
             break
         if pivots >= max_pivots:
             raise InternalError("transport solver exceeded its pivot budget")
@@ -184,11 +171,22 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
         # by lowest index; a long degenerate run flips to the lowest-index
         # entering rule outright, which cannot cycle
         if blands_rule:
-            flat = int(np.argmax(negative))
-        else:
-            flat = int(np.argmin(rc))
+            flat = int(np.argmax(rc < -_PIVOT_TOL))
         ei, ej = divmod(flat, n)
-        path = _tree_path(basis, ei, m + ej, m)
+        # the cycle closed by the entering arc: both ends climb to their
+        # meeting node, each tree node standing for the arc to its parent
+        x, y = ei, m + ej
+        left, right = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                left.append(x)
+                x = parent[x]
+            else:
+                right.append(y)
+                y = parent[y]
+        path = [
+            (k, parent[k] - m) if k < m else (parent[k], k - m) for k in left + right[::-1]
+        ]
         minus = path[0::2]
         theta = min(plan[arc] for arc in minus)
         leaving = min(arc for arc in minus if plan[arc] == theta)
@@ -198,17 +196,28 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
             else:
                 plan[arc] += theta
         plan[ei, ej] += theta
-        basis_set.remove(leaving)
-        basis_set.add((ei, ej))
-        basis = sorted(basis_set)
+        # cut the subtree below the leaving arc, re-root it at the entering
+        # end inside it, and hang it from the entering end outside it
+        at = path.index(leaving)
+        if at < len(left):
+            chain, outside = left[: at + 1], m + ej
+        else:
+            chain, outside = right[: len(path) - at], ei
+        children[parent[chain[-1]]].remove(chain[-1])
+        for lower, upper in zip(chain, chain[1:]):
+            children[upper].remove(lower)
+        for node in chain:
+            parent[node] = outside
+            children[outside].append(node)
+            outside = node
+        hang([chain[0]])
         pivots += 1
         if theta == 0.0:
             degenerate_run += 1
-            if degenerate_run > 50 + m + n:
+            if degenerate_run > _DEGENERATE_SLACK + m + n:
                 blands_rule = True
         else:
             degenerate_run = 0
-    u, v = _tree_potentials(basis, cost, m, n)
     value = float(np.sum(cost * plan))
     result = TransportResult(value, plan, u, v, a, b, cost, pivots)
     if result.feasibility_deviation() > _FEASIBILITY_TOL:

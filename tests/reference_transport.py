@@ -1,0 +1,148 @@
+"""The transport solver as it stood before the spanning tree was kept between pivots.
+
+A test-only oracle: it rebuilds the basis tree from scratch on every pivot, so
+it is slow, but it follows the same initial basis, pivot rules and float
+operations as :func:`copulagrid.topology._solve_transport`.  The two must agree
+bit for bit in value, plan, both potentials and pivot count.
+"""
+
+from collections import deque
+
+import numpy as np
+
+from copulagrid.errors import InternalError
+from copulagrid.topology import (
+    _FEASIBILITY_TOL,
+    _PIVOT_TOL,
+    _SLACKNESS_TOL,
+    TransportResult,
+)
+
+
+def _tree_potentials(basis, cost, m, n):
+    adj = [[] for _ in range(m + n)]
+    for i, j in basis:
+        adj[i].append((m + j, (i, j)))
+        adj[m + j].append((i, (i, j)))
+    u = np.full(m, np.nan)
+    v = np.full(n, np.nan)
+    u[0] = 0.0
+    stack = [0]
+    seen = [False] * (m + n)
+    seen[0] = True
+    while stack:
+        node = stack.pop()
+        for nxt, (i, j) in adj[node]:
+            if seen[nxt]:
+                continue
+            seen[nxt] = True
+            if nxt >= m:
+                v[nxt - m] = cost[i, j] - u[i]
+            else:
+                u[nxt] = cost[i, j] - v[j]
+            stack.append(nxt)
+    if not all(seen):
+        raise InternalError("transport basis is not a spanning tree")
+    return u, v
+
+
+def _tree_path(basis, start, goal, m):
+    adj = {}
+    for i, j in basis:
+        adj.setdefault(i, []).append((m + j, (i, j)))
+        adj.setdefault(m + j, []).append((i, (i, j)))
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if node == goal:
+            break
+        for nxt, arc in adj.get(node, ()):
+            if nxt not in parent:
+                parent[nxt] = (node, arc)
+                queue.append(nxt)
+    if goal not in parent:
+        raise InternalError("transport basis lost connectivity")
+    arcs = []
+    node = goal
+    while parent[node] is not None:
+        node, arc = parent[node]
+        arcs.append(arc)
+    arcs.reverse()
+    return arcs
+
+
+def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> TransportResult:
+    m, n = cost.shape
+    plan = np.zeros((m, n))
+    ra, rb = a.copy(), b.copy()
+    basis = []
+    i = j = 0
+    while True:
+        amt = ra[i] if ra[i] <= rb[j] else rb[j]
+        plan[i, j] = amt
+        ra[i] -= amt
+        rb[j] -= amt
+        basis.append((i, j))
+        if i == m - 1 and j == n - 1:
+            break
+        if ra[i] == 0.0 and i < m - 1:
+            i += 1
+        elif j < n - 1:
+            j += 1
+        else:
+            i += 1
+    basis_set = set(basis)
+    basis = sorted(basis_set)
+    max_pivots = 50000 + 100 * (m + n)
+    pivots = 0
+    degenerate_run = 0
+    blands_rule = False
+    while True:
+        u, v = _tree_potentials(basis, cost, m, n)
+        rc = cost - u[:, None] - v[None, :]
+        negative = rc < -_PIVOT_TOL
+        if not negative.any():
+            break
+        if pivots >= max_pivots:
+            raise InternalError("transport solver exceeded its pivot budget")
+        # most negative reduced cost enters, ties and the leaving arc resolved
+        # by lowest index; a long degenerate run flips to the lowest-index
+        # entering rule outright, which cannot cycle
+        if blands_rule:
+            flat = int(np.argmax(negative))
+        else:
+            flat = int(np.argmin(rc))
+        ei, ej = divmod(flat, n)
+        path = _tree_path(basis, ei, m + ej, m)
+        minus = path[0::2]
+        theta = min(plan[arc] for arc in minus)
+        leaving = min(arc for arc in minus if plan[arc] == theta)
+        for k, arc in enumerate(path):
+            if k % 2 == 0:
+                plan[arc] -= theta
+            else:
+                plan[arc] += theta
+        plan[ei, ej] += theta
+        basis_set.remove(leaving)
+        basis_set.add((ei, ej))
+        basis = sorted(basis_set)
+        pivots += 1
+        if theta == 0.0:
+            degenerate_run += 1
+            if degenerate_run > 50 + m + n:
+                blands_rule = True
+        else:
+            degenerate_run = 0
+    u, v = _tree_potentials(basis, cost, m, n)
+    value = float(np.sum(cost * plan))
+    result = TransportResult(value, plan, u, v, a, b, cost, pivots)
+    if result.feasibility_deviation() > _FEASIBILITY_TOL:
+        raise InternalError(
+            f"transport plan infeasible by {result.feasibility_deviation()!r}"
+        )
+    if result.slackness_deviation() > _SLACKNESS_TOL:
+        raise InternalError(
+            f"transport duals violate slackness by {result.slackness_deviation()!r}"
+        )
+    return result

@@ -1,0 +1,147 @@
+"""The spanning-tree transport solver against its slow reference and HiGHS."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from copulagrid import (
+    CheckerboardCopula,
+    CopulaGridError,
+    InternalError,
+    TensorMeasure,
+    make_comonotone,
+    make_countermonotone,
+    make_independence,
+    random_copula,
+    topology,
+    transport_plan,
+)
+from reference_transport import _solve_transport as reference_solve
+from test_measure_core import draw_copula, same_bits
+
+
+def check_against_reference(a, b):
+    """Library and reference solver agree bit for bit, in both argument orders."""
+    fast = [transport_plan(a, b), transport_plan(b, a)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "_solve_transport", reference_solve)
+        slow = [transport_plan(a, b), transport_plan(b, a)]
+    for r1, r2 in zip(fast, slow):
+        same_bits(r1, r2)
+
+
+def permutation_copula(perm):
+    n = len(perm)
+    mass = np.zeros((n, n))
+    mass[np.arange(n), perm] = 1.0 / n
+    return CheckerboardCopula((0, 1), n, mass)
+
+
+def integer_grid_tensor(rng, dims):
+    """Tie-heavy tensor: integer axis points, masses in ``{0, 1, 2} / sum``."""
+    grid = []
+    for _ in range(dims):
+        k = int(rng.integers(1, 5))
+        grid.append(np.sort(rng.choice(np.arange(-2, 3), size=k, replace=False)))
+    shape = tuple(len(axis) for axis in grid)
+    while True:
+        weights = rng.integers(0, 3, size=shape).astype(float)
+        if weights.sum() > 0:
+            return TensorMeasure(tuple(range(dims)), tuple(grid), weights / weights.sum())
+
+
+kinds = st.sampled_from(["random", "comonotone", "independence"])
+copula_pairs = st.one_of(
+    st.tuples(st.just(2), st.integers(1, 12), kinds, kinds, st.integers(0, 2**32 - 1)),
+    st.tuples(st.just(3), st.integers(1, 5), kinds, kinds, st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(copula_pairs)
+@example((2, 12, "random", "random", 0))
+@example((3, 5, "random", "random", 1))
+def test_copula_solves_match_reference_bitwise(case):
+    d, order, kind_a, kind_b, seed = case
+    rng = np.random.default_rng(seed)
+    labels = tuple(range(d))
+    check_against_reference(
+        draw_copula(kind_a, labels, order, rng), draw_copula(kind_b, labels, order, rng)
+    )
+
+
+def test_tie_heavy_corpus_matches_reference_bitwise():
+    rng = np.random.default_rng(3)
+    labels = (0, 1)
+    for order in range(1, 9):
+        family = [
+            make_independence(labels, order),
+            make_comonotone(labels, order),
+            make_countermonotone(labels, order),
+            permutation_copula(rng.permutation(order)),
+        ]
+        for i, a in enumerate(family):
+            for b in family[i + 1 :]:
+                check_against_reference(a, b)
+    for _ in range(60):
+        dims = int(rng.integers(1, 3))
+        check_against_reference(integer_grid_tensor(rng, dims), integer_grid_tensor(rng, dims))
+
+
+def highs_value(res):
+    """Optimal value of the same transport problem by HiGHS at tight tolerances."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, n = res.cost.shape
+    lp = linprog(
+        res.cost.ravel(),
+        A_eq=np.vstack([np.repeat(np.eye(m), n, axis=1), np.tile(np.eye(n), m)]),
+        b_eq=np.concatenate([res.row_masses, res.col_masses]),
+        bounds=(0, None),
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+            "presolve": False,
+        },
+    )
+    assert lp.status == 0, lp.message
+    return lp.fun
+
+
+def assert_certified(res):
+    assert res.feasibility_deviation() <= topology._FEASIBILITY_TOL
+    assert res.slackness_deviation() <= topology._SLACKNESS_TOL
+
+
+def test_tie_heavy_fuzz_corpus_matches_highs():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        dims = int(rng.integers(1, 3))
+        res = transport_plan(integer_grid_tensor(rng, dims), integer_grid_tensor(rng, dims))
+        assert abs(res.value - highs_value(res)) <= 1e-9
+        assert_certified(res)
+
+
+def test_pivot_budget_raises_typed_error(monkeypatch):
+    rng = np.random.default_rng(11)
+    a, b = random_copula((0, 1), 6, rng), random_copula((0, 1), 6, rng)
+    assert transport_plan(a, b).pivots > 1
+    monkeypatch.setattr(topology, "_PIVOT_BUDGET", 1)
+    monkeypatch.setattr(topology, "_PIVOT_BUDGET_PER_NODE", 0)
+    with pytest.raises(InternalError, match="pivot budget") as info:
+        transport_plan(a, b)
+    assert isinstance(info.value, CopulaGridError)
+
+
+def test_lowest_index_rule_from_first_degenerate_pivot(monkeypatch):
+    pytest.importorskip("scipy")
+    a = permutation_copula([2, 0, 4, 1, 3])
+    b = make_independence((0, 1), 5)
+    default = transport_plan(a, b)
+    monkeypatch.setattr(topology, "_DEGENERATE_SLACK", -(10**9))
+    bland = transport_plan(a, b)
+    assert bland.pivots != default.pivots
+    assert abs(bland.value - highs_value(bland)) <= 1e-9
+    assert_certified(bland)
