@@ -40,7 +40,10 @@ def permutation_copula(perm: Sequence[int], labels: Iterable = (0, 1)) -> Checke
     if len(labels) != 2:
         raise CompatibilityError("permutation copulas are two-dimensional")
     n = len(perm)
-    if sorted(perm) != list(range(n)):
+    # floats and bools compare equal to integers, so the sort alone admits them
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, perm))) or (
+        sorted(perm) != list(range(n))
+    ):
         raise DomainError(f"{perm!r} is not a permutation of 0..{n - 1}")
     mass = np.zeros((n, n))
     for i, j in enumerate(perm):
@@ -52,18 +55,25 @@ def _perfect_matching(support: np.ndarray, forced: tuple = (-1, -1)):
     """Perfect matching of the support, containing the edge ``forced`` if given.
 
     Kuhn's augmenting-path search, visiting rows and columns in increasing
-    index order so the result is deterministic.  Returns ``None`` when no
+    index order so the result is deterministic.  The support is read once,
+    by one ``np.nonzero``, into per-row lists of its columns in increasing
+    order; the search walks those lists instead of testing every cell, and
+    visits the same columns in the same order.  Returns ``None`` when no
     perfect matching exists.
     """
     n = support.shape[0]
+    adj = [[] for _ in range(n)]  # row -> support columns, increasing
+    rows, cols = np.nonzero(support)
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        adj[row].append(col)
     match_col = [-1] * n  # column -> row
     i0, j0 = forced
     if j0 >= 0:
         match_col[j0] = i0
 
     def augment(row, seen):
-        for col in range(n):
-            if support[row, col] and not seen[col]:
+        for col in adj[row]:
+            if not seen[col]:
                 seen[col] = True
                 if match_col[col] == -1 or augment(match_col[col], seen):
                     match_col[col] = row

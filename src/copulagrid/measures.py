@@ -47,13 +47,26 @@ def canonical_labels(labels: Iterable) -> tuple:
         raise CompatibilityError(f"labels are not mutually orderable: {seq!r}") from exc
 
 
-class Marginal:
+class _Immutable:
+    """Refuses attribute assignment and deletion; ``__init__`` uses ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class Marginal(_Immutable):
     """A one-dimensional probability law with CDF and quantile evaluation.
 
     Use :meth:`atomic` for a purely discrete law given by weighted atoms, or
     :meth:`continuous` for a strictly increasing piecewise-linear CDF given by
     knots ``(x, F(x))`` with ``F = 0`` at the first knot and ``F = 1`` at the
     last.  Atom positions may be ``-inf`` or ``+inf``; knots must be finite.
+    Attributes are set once; assigning or deleting one raises AttributeError.
     """
 
     __slots__ = ("kind", "xs", "ws", "fs", "cum")
@@ -61,11 +74,8 @@ class Marginal:
     def __init__(self, kind, xs, ws=None, fs=None, cum=None, _token=None):
         if _token is not _CTOR:
             raise TypeError("use Marginal.atomic(...) or Marginal.continuous(...)")
-        self.kind = kind
-        self.xs = xs
-        self.ws = ws
-        self.fs = fs
-        self.cum = cum
+        for name, value in zip(self.__slots__, (kind, xs, ws, fs, cum)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def atomic(cls, atoms: Sequence[tuple]) -> "Marginal":
@@ -212,9 +222,11 @@ def checked_mass(mass, shape: tuple) -> np.ndarray:
     arr = np.asarray(mass, dtype=float)
     if arr.shape != shape:
         raise ValidationError(f"mass shape {arr.shape} does not match {shape}")
-    if np.any(arr < 0) or np.any(~np.isfinite(arr)):
+    # NaN, -inf and negative entries fail the minimum, and a NaN total records
+    # that; past it, only +inf entries or an overflow make the total infinite
+    total = float(arr.sum()) if arr.min() >= 0.0 else math.nan
+    if math.isnan(total) or (math.isinf(total) and not np.isfinite(arr).all()):
         raise ValidationError("masses must be finite and nonnegative")
-    total = float(arr.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise ValidationError(f"total mass is {total!r}, expected 1")
     arr = arr.copy()
@@ -222,7 +234,7 @@ def checked_mass(mass, shape: tuple) -> np.ndarray:
     return arr
 
 
-class GridMeasure:
+class GridMeasure(_Immutable):
     """Core of every discrete measure here: labels, a grid, and a mass tensor.
 
     Subclasses store ``labels`` and ``mass`` (built by :func:`checked_mass`)
@@ -233,12 +245,6 @@ class GridMeasure:
     """
 
     __slots__ = ("labels", "mass")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
     @property
     def ndim(self) -> int:
