@@ -180,11 +180,13 @@ def maximize_convex(
     rng = np.random.default_rng(seed)
     interior = [random_copula(labels, n, rng) for _ in range(int(interior_samples))]
     interior_best = -math.inf
+    values = []
     for c in interior:
         val = float(functional(c))
         if not math.isfinite(val):
             raise EvaluationError(f"functional returned {val!r} on an interior copula")
         interior_best = max(interior_best, val)
+        values.append(val)
     violations = 0
     if len(interior) >= 2:
         for _ in range(int(midpoint_checks)):
@@ -193,7 +195,7 @@ def maximize_convex(
                 labels, n, 0.5 * (interior[i].mass + interior[j].mass)
             )
             lhs = float(functional(mid))
-            rhs = 0.5 * (float(functional(interior[i])) + float(functional(interior[j])))
+            rhs = 0.5 * (values[i] + values[j])
             if lhs > rhs + 1e-9:
                 violations += 1
     if violations:

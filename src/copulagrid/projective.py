@@ -23,7 +23,7 @@ from .copulas import (
     marginalize_copula,
     validate_copula,
 )
-from .errors import CompatibilityError, DomainError, ValidationError
+from .errors import CompatibilityError, DomainError, EvaluationError, ValidationError
 from .measures import TensorMeasure, canonical_labels, marginalize_tensor
 
 COPULA = "copula"
@@ -100,16 +100,24 @@ def canonical_subsets(universe: IndexUniverse) -> Iterator[tuple]:
         max_idx += 1
 
 
+class _Evaluating(threading.local):
+    """Per thread: the subsets whose rules are running, outermost first."""
+
+    def __init__(self):
+        self.subsets = []
+
+
 class ProjectiveFamily:
     """A rule from finite subsets to measures, cached with evaluate-once semantics.
 
     ``kind`` is ``"copula"`` (members are :class:`CheckerboardCopula`, required
     to pass validation) or ``"general"`` (members are :class:`TensorMeasure`).
-    The cache is the only mutable state and is guarded by a lock, so concurrent
-    callers observe a single evaluation per subset.
+    The cache and the set of running evaluations are the only mutable state.
+    Rules run outside the lock, so a rule may evaluate its own family; callers
+    of a subset whose rule is running wait for that one evaluation.
     """
 
-    __slots__ = ("universe", "kind", "rule", "_cache", "_lock")
+    __slots__ = ("universe", "kind", "rule", "_cache", "_lock", "_running", "_evaluating")
 
     def __init__(self, universe: IndexUniverse, kind: str, rule: Callable):
         if kind not in (COPULA, GENERAL):
@@ -119,6 +127,8 @@ class ProjectiveFamily:
         self.rule = rule
         self._cache = {}
         self._lock = threading.Lock()
+        self._running = {}  # subset -> Event set when its evaluation ends
+        self._evaluating = _Evaluating()
 
 
 def _member_kind(kind: str) -> tuple:
@@ -146,14 +156,45 @@ def _check_member(f: ProjectiveFamily, subset: tuple, value):
 
 
 def family_member(f: ProjectiveFamily, labels: Iterable):
-    """Evaluate the family at a subset, caching the validated member."""
+    """Evaluate the family at a subset, caching the validated member.
+
+    Each subset's rule runs once; a rule that raises caches nothing.  A rule
+    that asks, directly or through other subsets, for the subset it is
+    computing raises :class:`EvaluationError` naming the cycle.
+    """
     subset = f.universe.validate_subset(labels)
-    with f._lock:
-        if subset in f._cache:
-            return f._cache[subset]
+    value = f._cache.get(subset)
+    if value is None:
+        value = _evaluate(f, subset)
+    return value
+
+
+def _evaluate(f: ProjectiveFamily, subset: tuple):
+    chain = f._evaluating.subsets
+    if subset in chain:
+        cycle = chain[chain.index(subset) :] + [subset]
+        raise EvaluationError("family rule cycle: " + " -> ".join(map(repr, cycle)))
+    while True:
+        with f._lock:
+            if subset in f._cache:
+                return f._cache[subset]
+            done = f._running.get(subset)
+            if done is None:
+                done = f._running[subset] = threading.Event()
+                break
+        done.wait()
+    value = None
+    chain.append(subset)
+    try:
         value = _check_member(f, subset, f.rule(subset))
-        f._cache[subset] = value
-        return value
+    finally:
+        chain.pop()
+        with f._lock:
+            if value is not None:
+                f._cache[subset] = value
+            del f._running[subset]
+        done.set()
+    return value
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,3 +161,21 @@ class TestMaximizeConvex:
         for k, g in enumerate(functionals):
             result = maximize_convex(g, 4, interior_samples=150, seed=k)
             assert result.interior_value <= result.extremal_value + 1e-9
+
+    @pytest.mark.parametrize(
+        "order, samples, checks", [(3, 10, 16), (4, 25, 5), (2, 1, 16), (3, 0, 4)]
+    )
+    def test_each_copula_is_evaluated_once(self, order, samples, checks):
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return -float(np.sum(c.mass**2))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the concave functional fails midpoint checks
+            maximize_convex(
+                counted, order, interior_samples=samples, seed=1, midpoint_checks=checks
+            )
+        midpoints = checks if samples >= 2 else 0
+        assert len(calls) == math.factorial(order) + samples + midpoints

@@ -1,0 +1,83 @@
+"""One SHA-256 over the outputs of every operation of a benchmark workload.
+
+Usage, from the root of a source checkout::
+
+    python3 tools/digest.py --src PATH --workload sklar-roundtrip --seeds 3 11 27
+
+``PATH`` is the root of the checkout whose ``src/copulagrid`` is imported;
+the workloads always come from this checkout's ``bench/workloads.py``, so two
+trees are compared on the same operations.  For each seed the workload's
+cycle is built as the benchmark builds it, every operation runs once, and
+the ``repr`` of its digest (the output the benchmark compares between
+repeats) goes into the hash.  Equal hashes for a parent and a change mean
+equal outputs, bit for bit, on every operation.  ``--list`` also prints each
+operation's digest, for a ``diff`` between trees; ``--smoke`` uses the
+workload's smoke sizes.
+"""
+
+import os
+
+# The benchmark pins every BLAS/OpenMP pool to one thread; so does this, before
+# numpy is first imported, so that the arithmetic is the benchmark's.
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ[_var] = "1"
+
+import sys
+
+sys.dont_write_bytecode = True
+
+import argparse
+import hashlib
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", required=True, help="root of the checkout to import copulagrid from")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--smoke", action="store_true", help="the workload's smoke sizes")
+    p.add_argument("--list", action="store_true", help="print every operation's digest")
+    return p.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    src = Path(args.src).resolve() / "src"
+    if not (src / "copulagrid" / "__init__.py").is_file():
+        print(f"no copulagrid sources under {src}", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(src), str(BENCH)]
+    import numpy as np
+
+    import copulagrid as cg
+    from workloads import WORKLOADS
+
+    if args.workload not in WORKLOADS:
+        names = sorted(WORKLOADS)
+        print(f"unknown workload {args.workload!r}; choose from {names}", file=sys.stderr)
+        return 2
+    wl = WORKLOADS[args.workload]
+    schedule = wl.smoke if args.smoke else wl.schedule
+    total = hashlib.sha256()
+    for seed in args.seeds:
+        for case in wl.build(cg, np.random.default_rng(seed), schedule):
+            line = f"{seed} {case.slot} {case.digest(case.run())!r}"
+            total.update(line.encode() + b"\n")
+            if args.list:
+                print(line)
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
