@@ -149,8 +149,8 @@ def marginalize_copula(c: CheckerboardCopula, labels: Iterable) -> CheckerboardC
     return CheckerboardCopula(target, c.order, mass)
 
 
-def cell_weights(order: int, u_j: float) -> np.ndarray:
-    """Share of each of the ``order`` cells of one axis that lies below ``u_j``.
+def _cell_weights(bounds: np.ndarray, u_j: float) -> np.ndarray:
+    """Share of each cell ``[bounds[k], bounds[k+1]]`` that lies below ``u_j``.
 
     Cells wholly below count 1, the cell holding ``u_j`` its covered
     fraction, cells above 0.
@@ -158,12 +158,11 @@ def cell_weights(order: int, u_j: float) -> np.ndarray:
     u_j = float(u_j)
     if math.isnan(u_j) or u_j < 0.0 or u_j > 1.0:
         raise DomainError(f"copula CDF argument {u_j!r} outside [0, 1]")
-    n = order
+    n = len(bounds) - 1
     w = np.zeros(n)
     if u_j == 1.0:
         w[:] = 1.0
     else:
-        bounds = np.arange(n + 1) / n
         cell = int(np.searchsorted(bounds, u_j, side="right")) - 1
         w[:cell] = 1.0
         frac = (u_j - bounds[cell]) * n
@@ -171,7 +170,7 @@ def cell_weights(order: int, u_j: float) -> np.ndarray:
     return w
 
 
-def contract(val: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _contract(val: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Contract the first axis of ``val`` with the weights ``w``.
 
     The same ``np.dot`` on the same operands as
@@ -191,9 +190,11 @@ def cdf_eval_copula(c: CheckerboardCopula, u: Sequence[float]) -> float:
     """
     if len(u) != c.ndim:
         raise CompatibilityError(f"point has {len(u)} coordinates, copula has {c.ndim}")
+    n = c.order
+    bounds = np.arange(n + 1) / n
     val = c.mass
     for u_j in u:
-        val = contract(val, cell_weights(c.order, u_j))
+        val = _contract(val, _cell_weights(bounds, u_j))
     return float(min(max(float(val), 0.0), 1.0))
 
 

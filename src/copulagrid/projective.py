@@ -100,24 +100,18 @@ def canonical_subsets(universe: IndexUniverse) -> Iterator[tuple]:
         max_idx += 1
 
 
-class _Evaluating(threading.local):
-    """Per thread: the subsets whose rules are running, outermost first."""
-
-    def __init__(self):
-        self.subsets = []
-
-
 class ProjectiveFamily:
     """A rule from finite subsets to measures, cached with evaluate-once semantics.
 
     ``kind`` is ``"copula"`` (members are :class:`CheckerboardCopula`, required
     to pass validation) or ``"general"`` (members are :class:`TensorMeasure`).
-    The cache and the set of running evaluations are the only mutable state.
-    Rules run outside the lock, so a rule may evaluate its own family; callers
-    of a subset whose rule is running wait for that one evaluation.
+    The cache and the list of subsets being evaluated are the only mutable
+    state.  Rules run under a reentrant lock, so a rule may evaluate its own
+    family, and callers of a subset whose rule is running wait for that one
+    evaluation.
     """
 
-    __slots__ = ("universe", "kind", "rule", "_cache", "_lock", "_running", "_evaluating")
+    __slots__ = ("universe", "kind", "rule", "_cache", "_lock", "_in_progress")
 
     def __init__(self, universe: IndexUniverse, kind: str, rule: Callable):
         if kind not in (COPULA, GENERAL):
@@ -126,9 +120,8 @@ class ProjectiveFamily:
         self.kind = kind
         self.rule = rule
         self._cache = {}
-        self._lock = threading.Lock()
-        self._running = {}  # subset -> Event set when its evaluation ends
-        self._evaluating = _Evaluating()
+        self._lock = threading.RLock()
+        self._in_progress = []  # subsets whose rules are running, outermost first
 
 
 def _member_kind(kind: str) -> tuple:
@@ -164,36 +157,24 @@ def family_member(f: ProjectiveFamily, labels: Iterable):
     """
     subset = f.universe.validate_subset(labels)
     value = f._cache.get(subset)
-    if value is None:
-        value = _evaluate(f, subset)
-    return value
-
-
-def _evaluate(f: ProjectiveFamily, subset: tuple):
-    chain = f._evaluating.subsets
-    if subset in chain:
-        cycle = chain[chain.index(subset) :] + [subset]
-        raise EvaluationError("family rule cycle: " + " -> ".join(map(repr, cycle)))
-    while True:
-        with f._lock:
-            if subset in f._cache:
-                return f._cache[subset]
-            done = f._running.get(subset)
-            if done is None:
-                done = f._running[subset] = threading.Event()
-                break
-        done.wait()
-    value = None
-    chain.append(subset)
-    try:
-        value = _check_member(f, subset, f.rule(subset))
-    finally:
-        chain.pop()
-        with f._lock:
-            if value is not None:
-                f._cache[subset] = value
-            del f._running[subset]
-        done.set()
+    if value is not None:
+        return value
+    # only the thread holding the lock runs rules, so every cycle, across
+    # threads too, shows up in the one in-progress list
+    with f._lock:
+        value = f._cache.get(subset)
+        if value is not None:
+            return value
+        chain = f._in_progress
+        if subset in chain:
+            cycle = chain[chain.index(subset) :] + [subset]
+            raise EvaluationError("family rule cycle: " + " -> ".join(map(repr, cycle)))
+        chain.append(subset)
+        try:
+            value = _check_member(f, subset, f.rule(subset))
+        finally:
+            chain.pop()
+        f._cache[subset] = value
     return value
 
 

@@ -21,9 +21,9 @@ import numpy as np
 
 from .copulas import (
     CheckerboardCopula,
+    _cell_weights,
+    _contract,
     cdf_eval_copula,
-    cell_weights,
-    contract,
     validate_copula,
 )
 from .errors import (
@@ -38,6 +38,7 @@ from .measures import (
     Marginal,
     TensorMeasure,
     cdf_eval,
+    cdf_eval_tensor,
     marginalize_tensor,
 )
 from .projective import COPULA, ProjectiveFamily, family_member
@@ -180,14 +181,14 @@ def verify_sklar(
     Probe coordinates follow the canonical order of ``labels``.  At each
     probe the lazy value is the copula CDF of the marginal CDF levels, as in
     :func:`joint_cdf`, and the eager value is the mass of the discretized
-    joint below the probe, as in :func:`~copulagrid.measures.cdf_eval_tensor`;
+    joint below the probe, :func:`~copulagrid.measures.cdf_eval_tensor`;
     the lazy side never reads the eager tensor.
 
     The probes are swept in one pass.  Each axis computes its marginal CDF
-    level, cell weights and eager slice end once per distinct coordinate.  A
-    stack holds the copula mass contracted along each prefix of the last
-    probe's coordinates, so a probe contracts only the axes after the prefix
-    it shares with the previous one; on a product grid that is the last axis.
+    level and cell weights once per distinct coordinate.  A stack holds the
+    copula mass contracted along each prefix of the last probe's
+    coordinates, so a probe contracts only the axes after the prefix it
+    shares with the previous one; on a product grid that is the last axis.
     Every value is bitwise the one the pointwise calls give, and errors keep
     their type, message and order.
     """
@@ -195,9 +196,10 @@ def verify_sklar(
     eager = discretize_joint(jm, subset, grids=grids)
     member = family_member(jm.family, subset)
     marginals = [jm.marginal(lab) for lab in subset]
+    bounds = np.arange(member.order + 1) / member.order
     d = len(subset)
-    memo = [{} for _ in subset]  # per axis: coordinate -> (cell weights, eager slice end)
-    prefix = []  # the last probe's memo entries
+    memo = [{} for _ in subset]  # per axis: coordinate -> cell weights
+    prefix = []  # the last probe's cell weights
     stack = [member.mass]  # stack[j]: the mass contracted along prefix[:j]
     worst = 0.0
     worst_probe = None
@@ -205,25 +207,22 @@ def verify_sklar(
     for probe in probes:
         if len(probe) != d:
             raise CompatibilityError(f"point has {len(probe)} coordinates for subset of size {d}")
-        entries = []
+        weights = []
         for j, x in enumerate(probe):
             x = float(x)
-            entry = memo[j].get(x)
-            if entry is None:
-                w = cell_weights(member.order, cdf_eval(marginals[j], x))
-                end = int(np.searchsorted(eager.grid[j], x, side="right"))
-                entry = memo[j][x] = (w, end)
-            entries.append(entry)
+            w = memo[j].get(x)
+            if w is None:
+                w = memo[j][x] = _cell_weights(bounds, cdf_eval(marginals[j], x))
+            weights.append(w)
         keep = 0
-        while keep < len(prefix) and entries[keep] is prefix[keep]:
+        while keep < len(prefix) and weights[keep] is prefix[keep]:
             keep += 1
         del stack[keep + 1 :]
         for j in range(keep, d):
-            stack.append(contract(stack[j], entries[j][0]))
-        prefix = entries
+            stack.append(_contract(stack[j], weights[j]))
+        prefix = weights
         a = float(min(max(float(stack[d]), 0.0), 1.0))
-        ends = [end for _, end in entries]
-        b = 0.0 if 0 in ends else float(eager.mass[tuple(slice(0, i) for i in ends)].sum())
+        b = cdf_eval_tensor(eager, probe)
         dev = abs(a - b)
         if dev > worst:
             worst, worst_probe = dev, tuple(float(x) for x in probe)

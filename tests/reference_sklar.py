@@ -2,7 +2,7 @@
 
 ``cdf_eval_copula``, ``joint_cdf`` and ``verify_sklar`` as they were before
 ``verify_sklar`` swept its probes and the copula CDF contracted through
-``copulas.contract``: one ``np.tensordot`` per axis, and one ``joint_cdf``
+``copulas._contract``: one ``np.tensordot`` per axis, and one ``joint_cdf``
 and one ``cdf_eval_tensor`` call per probe.  The library must agree with
 them bit for bit.
 """

@@ -114,3 +114,30 @@ def test_failed_rule_is_retried_by_the_next_caller():
         family_member(fam, (0, 1))
     assert run_bounded(lambda: family_member(fam, (0, 1))) == make_independence((0, 1), 2)
     assert attempts == [(0, 1), (0, 1)]
+
+
+def test_cycle_across_threads_raises_in_both():
+    started = threading.Barrier(2)
+
+    def rule(subset):
+        time.sleep(0.02)
+        return family_member(fam, (1,) if subset == (0,) else (0,))
+
+    fam = ProjectiveFamily(IndexUniverse.finite([0, 1]), "copula", rule)
+    errors = [None, None]
+
+    def caller(k):
+        started.wait(timeout=10)
+        try:
+            family_member(fam, (k,))
+        except EvaluationError as exc:
+            errors[k] = exc
+
+    threads = [threading.Thread(target=caller, args=(k,), daemon=True) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert not any(t.is_alive() for t in threads), "family evaluation hung"
+    assert "cycle: (0,) -> (1,) -> (0,)" in str(errors[0])
+    assert "cycle: (1,) -> (0,) -> (1,)" in str(errors[1])

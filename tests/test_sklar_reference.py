@@ -3,7 +3,7 @@
 ``tests/reference_sklar.py`` holds the copula CDF with one ``np.tensordot``
 per axis and ``verify_sklar`` with one ``joint_cdf`` and one
 ``cdf_eval_tensor`` call per probe.  The library contracts through
-``copulas.contract`` and sweeps the probes once; values, worst probes,
+``copulas._contract`` and sweeps the probes once; values, worst probes,
 counts and errors must not change.
 """
 
