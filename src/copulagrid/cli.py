@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .extremal import maximize_convex
-from .measures import TensorMeasure, cdf_eval_tensor, quantile
+from .measures import TensorMeasure, quantile
 from .projective import (
     IndexUniverse,
     ProjectiveFamily,
@@ -35,7 +35,7 @@ from .projective import (
     family_from_copula,
     family_member,
 )
-from .sklar import compose, decompose, discretize_joint, joint_cdf, verify_sklar
+from .sklar import _sweep, compose, decompose, discretize_joint
 from .topology import (
     FddMetricConfig,
     compactness_probe,
@@ -161,7 +161,7 @@ def cmd_compose(args) -> int:
     order = family_member(family, subset).order
     grids = _quantile_grids(marginals, subset, order)
     joint = discretize_joint(jm, subset, grids=grids)
-    report = verify_sklar(jm, subset, _probe_points(joint), grids=grids)
+    report = _sweep(jm, joint, _probe_points(joint))
     print(f"sklar_max_deviation = {report.max_deviation:.12g}")
     _emit(args, serialize.encode_tensor(joint))
     return 0
@@ -176,10 +176,8 @@ def cmd_decompose(args) -> int:
         raise CompatibilityError("second argument must be a marginal file")
     copula = decompose(joint, marginals, args.order)
     jm = compose(family_from_copula(copula), marginals)
-    dev = 0.0
-    for probe in _probe_points(joint):
-        dev = max(dev, abs(joint_cdf(jm, joint.labels, probe) - cdf_eval_tensor(joint, probe)))
-    print(f"round_trip_max_deviation = {dev:.12g}")
+    report = _sweep(jm, joint, _probe_points(joint))
+    print(f"round_trip_max_deviation = {report.max_deviation:.12g}")
     _emit(args, serialize.encode_copula(copula))
     return 0
 

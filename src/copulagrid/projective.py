@@ -24,14 +24,14 @@ from .copulas import (
     validate_copula,
 )
 from .errors import CompatibilityError, DomainError, EvaluationError, ValidationError
-from .measures import TensorMeasure, canonical_labels, marginalize_tensor
+from .measures import TensorMeasure, _Immutable, canonical_labels, marginalize_tensor
 
 COPULA = "copula"
 GENERAL = "general"
 
 
-class IndexUniverse:
-    """Either an explicit finite label set or the nonnegative integers."""
+class IndexUniverse(_Immutable):
+    """Either an explicit finite label set or the nonnegative integers; read-only."""
 
     __slots__ = ("kind", "labels")
 
@@ -41,8 +41,8 @@ class IndexUniverse:
     def __init__(self, kind, labels=None, _token=None):
         if _token is not _CTOR:
             raise TypeError("use IndexUniverse.finite(...) or IndexUniverse.countable()")
-        self.kind = kind
-        self.labels = labels
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def finite(cls, labels: Iterable) -> "IndexUniverse":
@@ -85,30 +85,24 @@ def canonical_subsets(universe: IndexUniverse) -> Iterator[tuple]:
 
     For a countable universe the enumeration never ends; take what you need.
     """
-    if universe.kind == IndexUniverse.FINITE:
-        ordered = universe.labels
-        limit = len(ordered)
-    else:
-        ordered = None
-        limit = None
-    max_idx = 0
-    while limit is None or max_idx < limit:
-        label_of = (lambda i: ordered[i]) if ordered is not None else (lambda i: i)
-        for size in range(1, max_idx + 2):
-            for combo in itertools.combinations(range(max_idx), size - 1):
-                yield tuple(label_of(i) for i in combo) + (label_of(max_idx),)
-        max_idx += 1
+    labels = universe.labels if universe.kind == IndexUniverse.FINITE else itertools.count()
+    earlier = []
+    for top in labels:
+        for size in range(len(earlier) + 1):
+            for combo in itertools.combinations(earlier, size):
+                yield combo + (top,)
+        earlier.append(top)
 
 
-class ProjectiveFamily:
+class ProjectiveFamily(_Immutable):
     """A rule from finite subsets to measures, cached with evaluate-once semantics.
 
     ``kind`` is ``"copula"`` (members are :class:`CheckerboardCopula`, required
     to pass validation) or ``"general"`` (members are :class:`TensorMeasure`).
     The cache and the list of subsets being evaluated are the only mutable
-    state.  Rules run under a reentrant lock, so a rule may evaluate its own
-    family, and callers of a subset whose rule is running wait for that one
-    evaluation.
+    state; assigning or deleting an attribute raises AttributeError.  Rules
+    run under a reentrant lock, so a rule may evaluate its own family, and
+    callers of a subset whose rule is running wait for that one evaluation.
     """
 
     __slots__ = ("universe", "kind", "rule", "_cache", "_lock", "_in_progress")
@@ -116,12 +110,10 @@ class ProjectiveFamily:
     def __init__(self, universe: IndexUniverse, kind: str, rule: Callable):
         if kind not in (COPULA, GENERAL):
             raise DomainError(f"unknown family kind {kind!r}")
-        self.universe = universe
-        self.kind = kind
-        self.rule = rule
-        self._cache = {}
-        self._lock = threading.RLock()
-        self._in_progress = []  # subsets whose rules are running, outermost first
+        # _in_progress lists the subsets whose rules are running, outermost first
+        values = (universe, kind, rule, {}, threading.RLock(), [])
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
 
 def _member_kind(kind: str) -> tuple:

@@ -129,11 +129,9 @@ def _axis_transfer(m: Marginal, order: int, grid):
             )
     breaks = np.union1d(bounds, levels)
     breaks = np.concatenate(([0.0], breaks[(breaks > 0.0) & (breaks <= 1.0)]))
+    lo, hi = breaks[:-1], breaks[1:]
     T = np.zeros((targets.size, n))
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        cell = int(np.searchsorted(bounds, hi, side="left")) - 1
-        tgt = int(np.searchsorted(levels, hi, side="left"))
-        T[tgt, cell] += (hi - lo) * n
+    np.add.at(T, (np.searchsorted(levels, hi), np.searchsorted(bounds, hi) - 1), (hi - lo) * n)
     return targets, T
 
 
@@ -182,18 +180,24 @@ def verify_sklar(
     probe the lazy value is the copula CDF of the marginal CDF levels, as in
     :func:`joint_cdf`, and the eager value is the mass of the discretized
     joint below the probe, :func:`~copulagrid.measures.cdf_eval_tensor`;
-    the lazy side never reads the eager tensor.
+    the lazy side never reads the eager tensor.  The probes are swept in one
+    pass (``_sweep``); every value is bitwise the one the pointwise calls
+    give, and errors keep their type, message and order.
+    """
+    return _sweep(jm, discretize_joint(jm, labels, grids=grids), probes)
 
-    The probes are swept in one pass.  Each axis computes its marginal CDF
-    level and cell weights once per distinct coordinate.  A stack holds the
-    copula mass contracted along each prefix of the last probe's
+
+def _sweep(jm: JointMeasure, eager: TensorMeasure, probes: Iterable) -> SklarCheck:
+    """:func:`verify_sklar` against a given eager tensor over ``eager.labels``.
+
+    The CLI passes the joint that ``compose`` writes or ``decompose`` reads,
+    so every Sklar cross-check runs here.  Each axis computes its marginal
+    CDF level and cell weights once per distinct coordinate.  A stack holds
+    the copula mass contracted along each prefix of the last probe's
     coordinates, so a probe contracts only the axes after the prefix it
     shares with the previous one; on a product grid that is the last axis.
-    Every value is bitwise the one the pointwise calls give, and errors keep
-    their type, message and order.
     """
-    subset = jm.family.universe.validate_subset(labels)
-    eager = discretize_joint(jm, subset, grids=grids)
+    subset = eager.labels
     member = family_member(jm.family, subset)
     marginals = [jm.marginal(lab) for lab in subset]
     bounds = np.arange(member.order + 1) / member.order

@@ -350,16 +350,13 @@ def w1_one_dim(a: Marginal, b: Marginal) -> float:
 
 @dataclass(frozen=True)
 class FddMetricConfig:
-    """How many canonical subsets to compare and the per-term cap."""
+    """How many canonical subsets to compare."""
 
     depth: int = 7
-    term_cap: float = 1.0
 
     def __post_init__(self):
         if self.depth < 1:
             raise DomainError(f"depth must be >= 1, got {self.depth}")
-        if not (self.term_cap > 0):
-            raise DomainError("term cap must be positive")
 
 
 def fdd_distance(
@@ -367,11 +364,12 @@ def fdd_distance(
 ) -> float:
     """Capped geometric sum of member transport distances.
 
-    Term ``k`` (one-based) contributes ``2**-k * min(cap, d_k)`` where ``d_k``
+    Term ``k`` (one-based) contributes ``2**-k * min(1, d_k)`` where ``d_k``
     is the transport distance between the members over the k-th canonical
     subset (copula members are transported directly, see
     :func:`transport_plan`), so the total is bounded by one and vanishes
-    exactly when the compared members coincide.
+    exactly when the compared members coincide.  The ground metric is
+    bounded by one, so the cap only absorbs rounding above one.
     """
     if f.universe != g.universe:
         raise CompatibilityError("families live over different index universes")
@@ -380,7 +378,7 @@ def fdd_distance(
         itertools.islice(canonical_subsets(f.universe), config.depth), start=1
     ):
         d = transport_distance(family_member(f, subset), family_member(g, subset))
-        total += 2.0 ** (-k) * min(config.term_cap, d)
+        total += 2.0 ** (-k) * min(1.0, d)
     return total
 
 

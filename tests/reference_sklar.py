@@ -3,8 +3,9 @@
 ``cdf_eval_copula``, ``joint_cdf`` and ``verify_sklar`` as they were before
 ``verify_sklar`` swept its probes and the copula CDF contracted through
 ``copulas._contract``: one ``np.tensordot`` per axis, and one ``joint_cdf``
-and one ``cdf_eval_tensor`` call per probe.  The library must agree with
-them bit for bit.
+and one ``cdf_eval_tensor`` call per probe.  ``check_tensor`` is that probe
+loop against a given tensor, as the CLI's ``decompose`` ran it.  The library
+must agree with them bit for bit.
 """
 
 import math
@@ -71,12 +72,16 @@ def verify_sklar(
 ) -> SklarCheck:
     """Compare the lazy CDF path against the eager pushforward at each probe."""
     subset = jm.family.universe.validate_subset(labels)
-    eager = discretize_joint(jm, subset, grids=grids)
+    return check_tensor(jm, discretize_joint(jm, subset, grids=grids), probes)
+
+
+def check_tensor(jm: JointMeasure, eager, probes: Iterable[Sequence[float]]) -> SklarCheck:
+    """The probe loop of ``verify_sklar`` against a given tensor over ``eager.labels``."""
     worst = 0.0
     worst_probe = None
     count = 0
     for probe in probes:
-        a = joint_cdf(jm, subset, probe)
+        a = joint_cdf(jm, eager.labels, probe)
         b = cdf_eval_tensor(eager, probe)
         dev = abs(a - b)
         if dev > worst:

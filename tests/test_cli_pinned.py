@@ -64,6 +64,13 @@ CASES = [
         None,
         None,
     ),
+    (
+        3, 17, "continuous", 7,
+        "sklar_max_deviation = 2.22044604925e-16",
+        "f67f3b7640b2b96770b81236c0c48a930934190ab1f0ce2fc8e632b21b360e74",
+        "round_trip_max_deviation = 2.22044604925e-16",
+        "64b26aaad947f1715d71ed0c7eaa0d10c12fb624654cc4a2646fb97e6f2fa162",
+    ),
 ]
 
 

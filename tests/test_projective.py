@@ -76,6 +76,17 @@ class TestCanonicalEnumeration:
         assert len(got) == 7
         assert set(got) == set(all_subsets(("a", "b", "c")))
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_order_is_largest_label_then_size_then_lexicographic(self, k):
+        labels = [f"x{i}" for i in range(k)]
+        masks = range(1, 2**k)
+        positions = [tuple(i for i in range(k) if mask >> i & 1) for mask in masks]
+        want = sorted(positions, key=lambda p: (p[-1], len(p), p))
+        got = list(canonical_subsets(IndexUniverse.finite(labels)))
+        assert got == [tuple(labels[i] for i in p) for p in want]
+        countable = canonical_subsets(IndexUniverse.countable())
+        assert list(itertools.islice(countable, len(want))) == want
+
 
 class TestFamilyMember:
     def test_independence_singleton_is_uniform(self):

@@ -3,8 +3,8 @@
 ``tests/reference_sklar.py`` holds the copula CDF with one ``np.tensordot``
 per axis and ``verify_sklar`` with one ``joint_cdf`` and one
 ``cdf_eval_tensor`` call per probe.  The library contracts through
-``copulas._contract`` and sweeps the probes once; values, worst probes,
-counts and errors must not change.
+``copulas._contract`` and sweeps the probes once, also against a tensor it
+did not build; values, worst probes, counts and errors must not change.
 """
 
 import itertools
@@ -23,8 +23,10 @@ from copulagrid import (
     CompatibilityError,
     DomainError,
     Marginal,
+    TensorMeasure,
     cdf_eval_copula,
     compose,
+    decompose,
     discretize_joint,
     family_from_copula,
     make_comonotone,
@@ -34,7 +36,8 @@ from copulagrid import (
     random_copula,
     verify_sklar,
 )
-from helpers import random_atomic, random_continuous
+from copulagrid.sklar import _sweep
+from helpers import random_atomic, random_continuous, random_tensor
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -140,6 +143,40 @@ def test_verify_sklar_matches_reference(d, n, seed):
     joint = discretize_joint(jm, subset, grids=grids)
     for make in probe_sets(joint, rng).values():
         assert_same_check(jm, subset, make, grids)
+
+
+def tensors_not_from_discretize(d, n, rng):
+    """A decomposed joint law and tensors over its labels that its discretization did not build.
+
+    As in the CLI's ``decompose``: a joint of continuous marginals on the quantile
+    grid, its recovered copula composed with the same marginals, and that joint,
+    a reweighted copy on the same grid and a random tensor on another grid.
+    """
+    labels = tuple(range(d))
+    marginals = {lab: random_continuous(rng, max_knots=6) for lab in labels}
+    grids = {lab: [quantile(m, (k + 1) / n) for k in range(n)] for lab, m in marginals.items()}
+    joint = discretize_joint(
+        compose(family_from_copula(random_copula(labels, n, rng)), marginals), labels, grids=grids
+    )
+    back = compose(family_from_copula(decompose(joint, marginals, n)), marginals)
+    weights = rng.dirichlet(np.ones(joint.mass.size)).reshape(joint.mass.shape)
+    return back, [joint, TensorMeasure(labels, joint.grid, weights), random_tensor(rng, labels)]
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(3, 6, 0)
+@example(2, 5, 9)
+def test_sweep_of_a_given_tensor_matches_reference(d, n, seed):
+    rng = np.random.default_rng(seed)
+    jm, tensors = tensors_not_from_discretize(d, n, rng)
+    for t in tensors:
+        for make in probe_sets(t, rng).values():
+            got = _sweep(jm, t, make())
+            want = ref.check_tensor(jm, t, make())
+            assert same_bits(got.max_deviation, want.max_deviation)
+            assert got.probes_checked == want.probes_checked
+            assert got.worst_probe == want.worst_probe
 
 
 def test_infinite_atoms_and_unsorted_labels():
