@@ -1,6 +1,6 @@
 """Computable finite-dimensional copula measures and their joint laws.
 
-The package covers five connected pieces: one-dimensional marginals and
+The package covers six connected pieces: one-dimensional marginals and
 tensor measures on product grids (:mod:`~copulagrid.measures`), checkerboard
 copulas (:mod:`~copulagrid.copulas`), projective families over finite index
 subsets with consistency checking (:mod:`~copulagrid.projective`), the

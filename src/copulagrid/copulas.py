@@ -27,6 +27,10 @@ from .measures import MASS_TOL, GridMeasure, TensorMeasure, canonical_labels, ch
 #: margin deviation accepted by validate_copula
 MARGIN_TOL = 1e-12
 
+#: fit_uniform_margins stops at this margin deviation, or after this many sweeps
+_FIT_MAX_DEV = 5e-15
+_FIT_MAX_ITER = 20000
+
 
 class CheckerboardCopula(GridMeasure):
     """Order-``n`` checkerboard measure over an ordered index subset."""
@@ -35,9 +39,7 @@ class CheckerboardCopula(GridMeasure):
 
     def __init__(self, labels, order: int, mass):
         labels = canonical_labels(labels)
-        order = int(order)
-        if order < 1:
-            raise ValidationError(f"order must be >= 1, got {order}")
+        order = _checked_order(order)
         object.__setattr__(self, "mass", checked_mass(mass, (order,) * len(labels)))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "order", order)
@@ -53,18 +55,26 @@ class CheckerboardCopula(GridMeasure):
         return f"CheckerboardCopula(labels={self.labels!r}, order={self.order})"
 
 
+def _checked_order(order) -> int:
+    """``order`` as an int, refused with :class:`ValidationError` below one."""
+    n = int(order)
+    if n < 1:
+        raise ValidationError(f"order must be >= 1, got {n}")
+    return n
+
+
 def make_independence(labels: Iterable, order: int) -> CheckerboardCopula:
     """Product copula: every cell carries ``n**(-d)``."""
-    labels = canonical_labels(labels)
-    n, d = int(order), len(labels)
+    labels = tuple(labels)
+    n, d = _checked_order(order), len(labels)
     mass = np.full((n,) * d, float(n) ** (-d))
     return CheckerboardCopula(labels, n, mass)
 
 
 def make_comonotone(labels: Iterable, order: int) -> CheckerboardCopula:
     """Diagonal copula: cells ``(k, ..., k)`` carry ``1/n`` each."""
-    labels = canonical_labels(labels)
-    n, d = int(order), len(labels)
+    labels = tuple(labels)
+    n, d = _checked_order(order), len(labels)
     mass = np.zeros((n,) * d)
     for k in range(n):
         mass[(k,) * d] = 1.0 / n
@@ -73,12 +83,12 @@ def make_comonotone(labels: Iterable, order: int) -> CheckerboardCopula:
 
 def make_countermonotone(labels: Iterable, order: int) -> CheckerboardCopula:
     """Antidiagonal copula; only defined for two-element index subsets."""
-    labels = canonical_labels(labels)
+    labels = tuple(labels)
     if len(labels) != 2:
         raise CompatibilityError(
             f"countermonotone copula needs exactly 2 labels, got {len(labels)}"
         )
-    n = int(order)
+    n = _checked_order(order)
     mass = np.zeros((n, n))
     for k in range(n):
         mass[k, n - 1 - k] = 1.0 / n
@@ -124,8 +134,7 @@ def validate_copula(c: CheckerboardCopula) -> CopulaValidationReport:
     n = c.order
     target = 1.0 / n
     for axis, label in enumerate(c.labels):
-        others = tuple(i for i in range(c.ndim) if i != axis)
-        margin = c.mass.sum(axis=others) if others else c.mass
+        margin = _margin(c.mass, axis)
         dev = float(np.max(np.abs(margin - target)))
         if dev > MARGIN_TOL:
             k = int(np.argmax(np.abs(margin - target)))
@@ -203,7 +212,13 @@ def to_tensor_measure(c: CheckerboardCopula) -> TensorMeasure:
     return TensorMeasure(c.labels, c.grid, c.mass)
 
 
-def fit_uniform_margins(mass, max_dev: float = 5e-15, max_iter: int = 20000) -> np.ndarray:
+def _margin(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Slice masses along ``axis``; 1-d ``arr`` is its own margin (``sum`` drops ``-0.0``)."""
+    others = tuple(i for i in range(arr.ndim) if i != axis)
+    return arr.sum(axis=others) if others else arr
+
+
+def fit_uniform_margins(mass) -> np.ndarray:
     """Rescale axis slices until every margin is uniform (proportional fitting).
 
     Requires a nonnegative tensor whose support admits uniform margins; a
@@ -220,21 +235,19 @@ def fit_uniform_margins(mass, max_dev: float = 5e-15, max_iter: int = 20000) -> 
         raise ValidationError("tensor must carry positive mass")
     n = arr.shape[0]
     target = 1.0 / n
-    for _ in range(max_iter):
+    for _ in range(_FIT_MAX_ITER):
         worst = 0.0
         for axis in range(arr.ndim):
-            others = tuple(i for i in range(arr.ndim) if i != axis)
-            margin = arr.sum(axis=others) if others else arr
+            margin = _margin(arr, axis)
             if np.any(margin <= 0):
                 raise ValidationError("a zero margin slice cannot be rescaled")
             shape = [1] * arr.ndim
             shape[axis] = n
             arr = arr * (target / margin).reshape(shape)
         for axis in range(arr.ndim):
-            others = tuple(i for i in range(arr.ndim) if i != axis)
-            margin = arr.sum(axis=others) if others else arr
+            margin = _margin(arr, axis)
             worst = max(worst, float(np.max(np.abs(margin - target))))
-        if worst <= max_dev:
+        if worst <= _FIT_MAX_DEV:
             return arr
     if worst <= MARGIN_TOL / 10:
         return arr
@@ -243,7 +256,7 @@ def fit_uniform_margins(mass, max_dev: float = 5e-15, max_iter: int = 20000) -> 
 
 def random_copula(labels: Iterable, order: int, rng: np.random.Generator) -> CheckerboardCopula:
     """Draw a generic copula by fitting uniform margins to a positive tensor."""
-    labels = canonical_labels(labels)
-    n, d = int(order), len(labels)
+    labels = tuple(labels)
+    n, d = _checked_order(order), len(labels)
     raw = rng.uniform(0.5, 1.5, size=(n,) * d)
     return CheckerboardCopula(labels, n, fit_uniform_margins(raw))

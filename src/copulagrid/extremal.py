@@ -36,7 +36,7 @@ _DUST = 1e-13
 
 def permutation_copula(perm: Sequence[int], labels: Iterable = (0, 1)) -> CheckerboardCopula:
     """The copula putting mass ``1/n`` on the cells ``(i, perm[i])``."""
-    labels = canonical_labels(labels)
+    labels = tuple(labels)
     if len(labels) != 2:
         raise CompatibilityError("permutation copulas are two-dimensional")
     n = len(perm)

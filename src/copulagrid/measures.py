@@ -219,7 +219,10 @@ def _smallest_reaching(m: Marginal, u: float, lo: float, y: float, hi: float) ->
 
 def checked_mass(mass, shape: tuple) -> np.ndarray:
     """Read-only copy of ``mass``, checked for shape, sign, finiteness and total one."""
-    arr = np.asarray(mass, dtype=float)
+    try:
+        arr = np.asarray(mass, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"mass is not a float array: {exc}") from None
     if arr.shape != shape:
         raise ValidationError(f"mass shape {arr.shape} does not match {shape}")
     # NaN, -inf and negative entries fail the minimum, and a NaN total records

@@ -116,17 +116,8 @@ class ProjectiveFamily(_Immutable):
             object.__setattr__(self, name, value)
 
 
-def _member_kind(kind: str) -> tuple:
-    # member class and marginalizer; built per call so that rebinding the
-    # module-level marginalizers (as bench/tracing.py does) reaches check_consistency
-    return {
-        COPULA: (CheckerboardCopula, marginalize_copula),
-        GENERAL: (TensorMeasure, marginalize_tensor),
-    }[kind]
-
-
 def _check_member(f: ProjectiveFamily, subset: tuple, value):
-    member_class, _ = _member_kind(f.kind)
+    member_class = CheckerboardCopula if f.kind == COPULA else TensorMeasure
     if not isinstance(value, member_class):
         raise ValidationError(f"{f.kind} family rule returned {type(value).__name__}")
     if value.labels != subset:
@@ -212,7 +203,8 @@ def check_consistency(
     canon = [f.universe.validate_subset(s) for s in subsets]
     if not canon:
         raise DomainError("check_consistency needs at least one subset")
-    _, marginalize = _member_kind(f.kind)
+    # read the module-level marginalizers per call, so rebinding them reaches here
+    marginalize = marginalize_copula if f.kind == COPULA else marginalize_tensor
     checks = []
     for subset in canon:
         first = family_member(f, subset)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .copulas import CheckerboardCopula
 from .errors import ParseError
-from .measures import ATOMIC, Marginal, TensorMeasure
+from .measures import ATOMIC, CONTINUOUS, Marginal, TensorMeasure
 from .projective import (
     IndexUniverse,
     ProjectiveFamily,
@@ -73,26 +73,27 @@ def _decode_label(raw):
     return raw
 
 
+def _lookup(table: dict, key, what: str):
+    """``table[key]`` for a string ``key``; JSON lists and objects are unhashable."""
+    if isinstance(key, str) and key in table:
+        return table[key]
+    raise ParseError(f"unknown {what} {key!r}; expected one of {tuple(table)}")
+
+
+#: marginal type -> (document key, the array paired with ``xs``, constructor)
+_MARGINAL_TYPES = {
+    ATOMIC: ("atoms", "ws", Marginal.atomic),
+    CONTINUOUS: ("knots", "fs", Marginal.continuous),
+}
+
+
 def encode_marginals(marginals: Mapping) -> dict:
     entries = []
     for label in sorted(marginals, key=lambda lab: (str(type(lab)), lab)):
         m = marginals[label]
-        if m.kind == ATOMIC:
-            entries.append(
-                {
-                    "label": label,
-                    "type": "atomic",
-                    "atoms": [[encode_float(x), encode_float(w)] for x, w in zip(m.xs, m.ws)],
-                }
-            )
-        else:
-            entries.append(
-                {
-                    "label": label,
-                    "type": "continuous",
-                    "knots": [[encode_float(x), encode_float(f)] for x, f in zip(m.xs, m.fs)],
-                }
-            )
+        key, paired, _ = _MARGINAL_TYPES[m.kind]
+        pairs = [[encode_float(x), encode_float(y)] for x, y in zip(m.xs, getattr(m, paired))]
+        entries.append({"label": label, "type": m.kind, key: pairs})
     return {"kind": "marginal", "marginals": entries}
 
 
@@ -108,22 +109,13 @@ def decode_marginals(doc: dict) -> dict:
         if label in out:
             raise ParseError(f"duplicate marginal label {label!r}")
         mtype = entry.get("type")
-        if mtype == "atomic":
-            atoms = entry.get("atoms")
-            if not isinstance(atoms, list):
-                raise ParseError("atomic marginal needs an 'atoms' list")
-            out[label] = Marginal.atomic(
-                [(decode_float(x), decode_float(w)) for x, w in atoms]
-            )
-        elif mtype == "continuous":
-            knots = entry.get("knots")
-            if not isinstance(knots, list):
-                raise ParseError("continuous marginal needs a 'knots' list")
-            out[label] = Marginal.continuous(
-                [(decode_float(x), decode_float(f)) for x, f in knots]
-            )
-        else:
-            raise ParseError(f"unknown marginal type {mtype!r}")
+        key, _, build = _lookup(_MARGINAL_TYPES, mtype, "marginal type")
+        pairs = entry.get(key)
+        if not isinstance(pairs, list):
+            raise ParseError(f"{mtype} marginal needs a list of {key!r}")
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+            raise ParseError(f"every entry of {key!r} must be an [x, y] pair")
+        out[label] = build([(decode_float(x), decode_float(y)) for x, y in pairs])
     return out
 
 
@@ -160,7 +152,7 @@ def decode_copula(doc: dict) -> CheckerboardCopula:
         labels = [_decode_label(lab) for lab in doc["labels"]]
         order = int(doc["order"])
         mass = _decode_nested(doc["mass"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed checkerboard_copula document: {exc}") from None
     return CheckerboardCopula(labels, order, mass)
 
@@ -178,6 +170,9 @@ def decode_universe(doc) -> IndexUniverse:
     raise ParseError(f"unknown universe type {doc['type']!r}")
 
 
+_FAMILY_RULES = {"independence": independence_family, "comonotone": comonotone_family}
+
+
 def decode_family(doc: dict) -> ProjectiveFamily:
     rule = doc.get("rule")
     if rule == "from_joint":
@@ -188,33 +183,25 @@ def decode_family(doc: dict) -> ProjectiveFamily:
     universe = decode_universe(doc.get("universe"))
     try:
         order = int(doc["order"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError("rule-based family needs an integer 'order'") from None
-    if rule == "independence":
-        return independence_family(universe, order)
-    if rule == "comonotone":
-        return comonotone_family(universe, order)
-    raise ParseError(f"unknown family rule {rule!r}")
+    return _lookup(_FAMILY_RULES, rule, "family rule")(universe, order)
+
+
+_DECODERS = dict(zip(KINDS, (decode_marginals, decode_tensor, decode_copula, decode_family)))
 
 
 def loads(text: str):
     """Parse a document of any supported kind."""
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ParseError("top-level JSON value must be an object")
+        return _lookup(_DECODERS, doc.get("kind"), "document kind")(doc)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
-    kind = doc.get("kind")
-    if kind == "marginal":
-        return decode_marginals(doc)
-    if kind == "tensor_measure":
-        return decode_tensor(doc)
-    if kind == "checkerboard_copula":
-        return decode_copula(doc)
-    if kind == "family_spec":
-        return decode_family(doc)
-    raise ParseError(f"unknown document kind {kind!r}; expected one of {KINDS}")
+    except RecursionError:
+        raise ParseError("document is nested too deeply") from None
 
 
 def dumps(doc: dict) -> str:

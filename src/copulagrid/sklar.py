@@ -15,6 +15,7 @@ unit cube and binned onto a checkerboard of a caller-chosen order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from .copulas import (
     CheckerboardCopula,
     _cell_weights,
+    _checked_order,
     _contract,
     cdf_eval_copula,
     validate_copula,
@@ -37,6 +39,7 @@ from .measures import (
     CONTINUOUS,
     Marginal,
     TensorMeasure,
+    _Immutable,
     cdf_eval,
     cdf_eval_tensor,
     marginalize_tensor,
@@ -44,16 +47,27 @@ from .measures import (
 from .projective import COPULA, ProjectiveFamily, family_member
 
 
-class JointMeasure:
-    """Lazily evaluated joint law given by a copula family and marginals."""
+class JointMeasure(_Immutable):
+    """Lazily evaluated joint law given by a copula family and marginals; read-only.
+
+    Every label of a finite universe needs a marginal; a countable one is checked per request.
+    """
 
     __slots__ = ("family", "marginals")
 
     def __init__(self, family: ProjectiveFamily, marginals: Mapping):
         if family.kind != COPULA:
             raise CompatibilityError("joint measures need a copula-kind family")
-        self.family = family
-        self.marginals = dict(marginals)
+        marginals = MappingProxyType(dict(marginals))
+        if family.universe.kind == "finite":
+            missing = [lab for lab in family.universe.labels if lab not in marginals]
+            if missing:
+                raise ConfigurationError(f"marginals missing for labels {missing!r}")
+        for lab, m in marginals.items():
+            if not isinstance(m, Marginal):
+                raise ConfigurationError(f"marginal for {lab!r} is not a Marginal")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "marginals", marginals)
 
     def marginal(self, label) -> Marginal:
         try:
@@ -63,20 +77,8 @@ class JointMeasure:
 
 
 def compose(family: ProjectiveFamily, marginals: Mapping) -> JointMeasure:
-    """Pair a copula family with marginals into a joint law.
-
-    For a finite universe every universe label must be covered; for a
-    countable universe coverage is checked per request.
-    """
-    jm = JointMeasure(family, marginals)
-    if family.universe.kind == "finite":
-        missing = [lab for lab in family.universe.labels if lab not in jm.marginals]
-        if missing:
-            raise ConfigurationError(f"marginals missing for labels {missing!r}")
-    for lab, m in jm.marginals.items():
-        if not isinstance(m, Marginal):
-            raise ConfigurationError(f"marginal for {lab!r} is not a Marginal")
-    return jm
+    """Pair a copula family with marginals into a joint law (see :class:`JointMeasure`)."""
+    return JointMeasure(family, marginals)
 
 
 def joint_cdf(jm: JointMeasure, labels: Iterable, point: Sequence[float]) -> float:
@@ -253,9 +255,7 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
     cut by a cell boundary that no image level hits cannot produce uniform
     margins, in which case the error names the smallest compatible order.
     """
-    n = int(order)
-    if n < 1:
-        raise ValidationError(f"order must be >= 1, got {n}")
+    n = _checked_order(order)
     image_axes = []
     for lab, axis in zip(t.labels, t.grid):
         try:

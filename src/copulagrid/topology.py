@@ -233,12 +233,12 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
 
 def _support(t: GridMeasure):
     """Coordinates (in phi space) and masses of the strictly positive nodes."""
-    mesh = np.meshgrid(*t.grid, indexing="ij")
+    axes = [np.array([phi(x) for x in axis.tolist()]) for axis in t.grid]
+    mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([g.ravel() for g in mesh], axis=1)
     masses = t.mass.ravel()
     keep = masses > 0.0
-    phi_coords = np.vectorize(phi)(coords[keep])
-    return phi_coords.reshape(-1, t.ndim), masses[keep]
+    return coords[keep], masses[keep]
 
 
 def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
@@ -327,16 +327,9 @@ def w1_one_dim(a: Marginal, b: Marginal) -> float:
     points = set()
     for m in (a, b):
         points.update(float(x) for x in m.xs if math.isfinite(x))
-    cuts = sorted(points)
-    segments = []
-    if not cuts:
-        segments.append((float("-inf"), float("inf")))
-    else:
-        segments.append((float("-inf"), cuts[0]))
-        segments.extend(zip(cuts[:-1], cuts[1:]))
-        segments.append((cuts[-1], float("inf")))
+    cuts = [float("-inf")] + sorted(points) + [float("inf")]
     total = 0.0
-    for lo, hi in segments:
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         aa, ba = _segment_line(a, lo, hi)
         ab, bb = _segment_line(b, lo, hi)
         total += _piece_integral(lo, hi, aa - ab, ba - bb)
@@ -465,12 +458,11 @@ def _perturb_marginal(m: Marginal, eps: float, direction: np.ndarray) -> Margina
     return Marginal.continuous(list(zip(m.xs, fs)))
 
 
-def _auto_grids(marginals: Mapping) -> dict:
-    return {
-        lab: np.asarray(m.xs)
-        for lab, m in marginals.items()
-        if m.kind != ATOMIC
-    }
+def _joint_family(copula: CheckerboardCopula, marginals: Mapping) -> ProjectiveFamily:
+    """Marginal family of ``copula`` composed with ``marginals``; continuous axes on knots."""
+    grids = {lab: np.asarray(m.xs) for lab, m in marginals.items() if m.kind != ATOMIC}
+    jm = compose(family_from_copula(copula), marginals)
+    return family_from_joint(discretize_joint(jm, copula.labels, grids=grids))
 
 
 def continuity_probe(
@@ -501,11 +493,7 @@ def continuity_probe(
         lab: rng.uniform(-1.0, 1.0, size=(len(m.xs) if m.kind == ATOMIC else len(m.xs) - 1))
         for lab, m in sorted(marginals.items(), key=lambda kv: str(kv[0]))
     }
-    labels = copula.labels
-    grids = _auto_grids(marginals)
-    target_family = family_from_copula(copula)
-    target_joint = discretize_joint(compose(target_family, marginals), labels, grids=grids)
-    target_fdd = family_from_joint(target_joint)
+    target_fdd = _joint_family(copula, marginals)
     steps = []
     for eps in epsilons:
         eps = float(eps)
@@ -515,7 +503,7 @@ def continuity_probe(
         else:
             scaled = copula.mass * (1.0 + eps * cop_dir)
             pert_copula = CheckerboardCopula(
-                labels, copula.order, fit_uniform_margins(scaled)
+                copula.labels, copula.order, fit_uniform_margins(scaled)
             )
             pert_marginals = {
                 lab: _perturb_marginal(m, eps, marg_dirs[lab])
@@ -524,12 +512,6 @@ def continuity_probe(
         input_dist = transport_distance(pert_copula, copula)
         for lab, m in marginals.items():
             input_dist += w1_one_dim(pert_marginals[lab], m)
-        pert_grids = _auto_grids(pert_marginals)
-        pert_joint = discretize_joint(
-            compose(family_from_copula(pert_copula), pert_marginals),
-            labels,
-            grids=pert_grids,
-        )
-        out = fdd_distance(family_from_joint(pert_joint), target_fdd, config)
+        out = fdd_distance(_joint_family(pert_copula, pert_marginals), target_fdd, config)
         steps.append(ContinuityStep(eps, float(input_dist), float(out)))
     return ContinuityReport(tuple(steps))
