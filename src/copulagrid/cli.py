@@ -21,6 +21,7 @@ from .copulas import CheckerboardCopula, random_copula, validate_copula
 from .errors import (
     CompatibilityError,
     ConfigurationError,
+    DomainError,
     EvaluationError,
     ParseError,
     UnsupportedError,
@@ -123,6 +124,8 @@ def cmd_validate(args) -> int:
         print(f"marginal: pass ({len(obj)} entries, invariants hold)")
         return 0
     if isinstance(obj, ProjectiveFamily):
+        if args.depth < 1:
+            raise DomainError(f"depth must be >= 1, got {args.depth}")
         if obj.universe.kind == IndexUniverse.FINITE:
             labels = list(obj.universe.labels)[: args.depth]
         else:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, random_copula
+from .copulas import CheckerboardCopula, _checked_order, random_copula
 from .errors import (
     CompatibilityError,
     DomainError,
@@ -163,11 +163,14 @@ def maximize_convex(
     trigger a warning, since for a genuinely convex functional the interior
     values can never exceed the extremal maximum.
     """
-    n = int(order)
-    if n < 1:
-        raise DomainError(f"order must be >= 1, got {n}")
+    n = _checked_order(order)
     if n > 8:
         raise DomainError("exhaustive enumeration is limited to order <= 8")
+    samples, checks = int(interior_samples), int(midpoint_checks)
+    if min(samples, checks) < 0:
+        raise DomainError(
+            f"interior_samples and midpoint_checks must be >= 0, got {samples} and {checks}"
+        )
     labels = canonical_labels(labels)
     best_val = None
     best_perm = None
@@ -178,7 +181,7 @@ def maximize_convex(
         if best_val is None or val > best_val:
             best_val, best_perm = val, perm
     rng = np.random.default_rng(seed)
-    interior = [random_copula(labels, n, rng) for _ in range(int(interior_samples))]
+    interior = [random_copula(labels, n, rng) for _ in range(samples)]
     interior_best = -math.inf
     values = []
     for c in interior:
@@ -189,7 +192,7 @@ def maximize_convex(
         values.append(val)
     violations = 0
     if len(interior) >= 2:
-        for _ in range(int(midpoint_checks)):
+        for _ in range(checks):
             i, j = rng.integers(0, len(interior), size=2)
             mid = CheckerboardCopula(
                 labels, n, 0.5 * (interior[i].mass + interior[j].mass)

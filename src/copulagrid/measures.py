@@ -28,8 +28,22 @@ ATOMIC = "atomic"
 CONTINUOUS = "continuous"
 
 
-def _readonly(values: Iterable[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _checked_axis(values, what: str, error=ValidationError) -> np.ndarray:
+    """Read-only 1-d float copy of ``values``: nonempty, free of NaN, strictly increasing.
+
+    ``a[1:] > a[:-1]`` is ``np.diff(a) > 0`` without floating-point warnings; it
+    is false at NaN, so repeated infinities fail it too.
+    """
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} is not a float array: {exc}") from None
+    if arr.ndim != 1 or arr.size < 1:
+        raise error(f"{what} must be a nonempty 1-d array, got shape {arr.shape}")
+    if np.isnan(arr).any():
+        raise error(f"{what} must not be NaN")
+    if not (arr[1:] > arr[:-1]).all():
+        raise error(f"{what} must be strictly increasing")
     arr.setflags(write=False)
     return arr
 
@@ -48,9 +62,20 @@ def canonical_labels(labels: Iterable) -> tuple:
 
 
 class _Immutable:
-    """Refuses attribute assignment and deletion; ``__init__`` uses ``object.__setattr__``."""
+    """Refuses attribute assignment and deletion; ``__init__`` uses ``object.__setattr__``.
+
+    ``copy`` and ``pickle`` hand the slots over as ``(None, {slot: value})``;
+    ``__setstate__`` restores them and refreezes their arrays.
+    """
 
     __slots__ = ()
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -65,7 +90,7 @@ class Marginal(_Immutable):
     Use :meth:`atomic` for a purely discrete law given by weighted atoms, or
     :meth:`continuous` for a strictly increasing piecewise-linear CDF given by
     knots ``(x, F(x))`` with ``F = 0`` at the first knot and ``F = 1`` at the
-    last.  Atom positions may be ``-inf`` or ``+inf``; knots must be finite.
+    last.  Atoms may sit at ``-inf`` or ``+inf``; knots span a finite interval.
     Attributes are set once; assigning or deleting one raises AttributeError.
     """
 
@@ -84,19 +109,8 @@ class Marginal(_Immutable):
         Positions must be strictly increasing (``-inf``/``+inf`` allowed),
         weights nonnegative with total one up to :data:`MASS_TOL`.
         """
-        if not atoms:
-            raise ValidationError("atomic marginal needs at least one atom")
-        xs = _readonly([float(x) for x, _ in atoms])
-        ws = _readonly([float(w) for _, w in atoms])
-        if np.any(np.isnan(xs)):
-            raise ValidationError("atom positions must not be NaN")
-        if np.any(np.diff(xs) <= 0):
-            raise ValidationError("atom positions must be strictly increasing")
-        if np.any(ws < 0) or np.any(~np.isfinite(ws)):
-            raise ValidationError("atom weights must be finite and nonnegative")
-        total = float(ws.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"atom weights sum to {total!r}, expected 1")
+        xs = _checked_axis([x for x, _ in atoms], "atom positions")
+        ws = checked_mass([w for _, w in atoms], xs.shape)
         # The clipped cumulative with a forced endpoint of exactly 1.0 is what
         # makes quantile/cdf an exact adjoint pair in float arithmetic.
         cum = np.minimum(np.cumsum(ws), 1.0)
@@ -109,14 +123,11 @@ class Marginal(_Immutable):
         """Build a continuous marginal from CDF knots ``(x, F)``."""
         if len(knots) < 2:
             raise ValidationError("continuous marginal needs at least two knots")
-        xs = _readonly([float(x) for x, _ in knots])
-        fs = _readonly([float(f) for _, f in knots])
-        if np.any(~np.isfinite(xs)):
-            raise ValidationError("knot positions must be finite")
-        if np.any(np.diff(xs) <= 0):
-            raise ValidationError("knot positions must be strictly increasing")
-        if np.any(np.diff(fs) <= 0):
-            raise ValidationError("CDF values must be strictly increasing")
+        xs = _checked_axis([x for x, _ in knots], "knot positions")
+        fs = _checked_axis([f for _, f in knots], "CDF values")
+        # a finite span bounds every knot and every gap; Python floats overflow quietly
+        if not math.isfinite(float(xs[-1]) - float(xs[0])):
+            raise ValidationError("knot positions must span a finite interval")
         if fs[0] != 0.0 or fs[-1] != 1.0:
             raise ValidationError("CDF must start at exactly 0 and end at exactly 1")
         return cls(CONTINUOUS, xs, fs=fs, _token=_CTOR)
@@ -181,9 +192,8 @@ def quantile(m: Marginal, u: float) -> float:
         i = int(np.searchsorted(m.cum, u, side="left"))
         return float(m.xs[i])
     xs, fs = m.xs, m.fs
+    # fs[0] == 0 < u <= 1 == fs[-1], so 1 <= k <= len(fs) - 1
     k = int(np.searchsorted(fs, u, side="left"))
-    if k == 0:
-        return float(xs[0])
     lo, hi = float(xs[k - 1]), float(xs[k])
     f_lo, f_hi = float(fs[k - 1]), float(fs[k])
     y = lo + (u - f_lo) * (hi - lo) / (f_hi - f_lo)
@@ -306,16 +316,7 @@ class TensorMeasure(GridMeasure):
         grid = tuple(grid)
         if len(grid) != len(labels):
             raise CompatibilityError("grid must provide one axis per label")
-        axes = []
-        for lab, pts in zip(labels, grid):
-            arr = _readonly(pts)
-            if arr.size < 1:
-                raise ValidationError(f"axis {lab!r} has an empty grid")
-            if np.any(np.isnan(arr)):
-                raise ValidationError(f"axis {lab!r} grid contains NaN")
-            if np.any(np.diff(arr) <= 0):
-                raise ValidationError(f"axis {lab!r} grid must be strictly increasing")
-            axes.append(arr)
+        axes = [_checked_axis(pts, f"axis {lab!r} grid") for lab, pts in zip(labels, grid)]
         object.__setattr__(self, "mass", checked_mass(mass, tuple(a.size for a in axes)))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "grid", tuple(axes))

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .copulas import CheckerboardCopula
+from .copulas import CheckerboardCopula, _checked_order
 from .errors import ParseError
 from .measures import ATOMIC, CONTINUOUS, Marginal, TensorMeasure
 from .projective import (
@@ -150,9 +150,9 @@ def encode_copula(c: CheckerboardCopula) -> dict:
 def decode_copula(doc: dict) -> CheckerboardCopula:
     try:
         labels = [_decode_label(lab) for lab in doc["labels"]]
-        order = int(doc["order"])
+        order = doc["order"]
         mass = _decode_nested(doc["mass"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed checkerboard_copula document: {exc}") from None
     return CheckerboardCopula(labels, order, mass)
 
@@ -181,11 +181,9 @@ def decode_family(doc: dict) -> ProjectiveFamily:
             raise ParseError("from_joint family needs a 'joint' tensor document")
         return family_from_joint(decode_tensor(joint))
     universe = decode_universe(doc.get("universe"))
-    try:
-        order = int(doc["order"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ParseError("rule-based family needs an integer 'order'") from None
-    return _lookup(_FAMILY_RULES, rule, "family rule")(universe, order)
+    if "order" not in doc:
+        raise ParseError("rule-based family needs an 'order'")
+    return _lookup(_FAMILY_RULES, rule, "family rule")(universe, _checked_order(doc["order"]))
 
 
 _DECODERS = dict(zip(KINDS, (decode_marginals, decode_tensor, decode_copula, decode_family)))

@@ -40,6 +40,7 @@ from .measures import (
     Marginal,
     TensorMeasure,
     _Immutable,
+    _checked_axis,
     cdf_eval,
     cdf_eval_tensor,
     marginalize_tensor,
@@ -120,9 +121,7 @@ def _axis_transfer(m: Marginal, order: int, grid):
             raise ConfigurationError(
                 "a discretization grid is required for continuous marginals"
             )
-        targets = np.asarray([float(g) for g in grid])
-        if targets.size < 1 or np.any(np.diff(targets) <= 0):
-            raise ConfigurationError("discretization grid must be strictly increasing")
+        targets = _checked_axis(grid, "discretization grid", ConfigurationError)
         levels = np.asarray([cdf_eval(m, g) for g in targets])
         if levels[-1] != 1.0:
             raise ConfigurationError(

@@ -57,6 +57,12 @@ CORPUS = {
     "negative copula order": json.dumps(_copula(order=-2, mass=[])),
     "infinite copula order": json.dumps(_copula(order=1e400)),
     "infinite family order": json.dumps(_family(order=1e400)),
+    "fractional copula order": json.dumps(_copula(order=2.9, mass=[["0.5", "0"], ["0", "0.5"]])),
+    "boolean copula order": json.dumps(_copula(order=True, mass=[["1"]])),
+    "text copula order": json.dumps(_copula(order="abc")),
+    "fractional family order": json.dumps(_family(order=2.9)),
+    "boolean family order": json.dumps(_family(order=True)),
+    "text family order": json.dumps(_family(order="abc")),
     # deeper than the decoder's recursion, then deeper than the JSON parser's
     "deeply nested mass": '{"kind": "tensor_measure", "labels": [0], "grid": [["0"]], "mass": '
     + "[" * 900
