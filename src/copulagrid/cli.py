@@ -39,6 +39,7 @@ from .projective import (
 from .sklar import _sweep, compose, decompose, discretize_joint
 from .topology import (
     FddMetricConfig,
+    _checked_eps,
     compactness_probe,
     fdd_distance,
     transport_distance,
@@ -207,6 +208,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_compact_demo(args) -> int:
+    _checked_eps(args.eps)
     rng = np.random.default_rng(args.seed)
     labels = (0, 1)
     anchors = [random_copula(labels, args.order, rng) for _ in range(3)]

@@ -48,6 +48,17 @@ def _checked_axis(values, what: str, error=ValidationError) -> np.ndarray:
     return arr
 
 
+def _unzipped(pairs, what: str) -> tuple:
+    """The two columns of ``pairs``, refusing any entry that is not a pair."""
+    try:
+        entries = [tuple(pair) for pair in pairs]
+    except TypeError:
+        entries = None
+    if entries is None or any(len(entry) != 2 for entry in entries):
+        raise ValidationError(f"every {what} must be an (x, y) pair")
+    return [x for x, _ in entries], [y for _, y in entries]
+
+
 def canonical_labels(labels: Iterable) -> tuple:
     """Return labels as a sorted tuple, rejecting duplicates and unsortable mixes."""
     seq = list(labels)
@@ -109,8 +120,9 @@ class Marginal(_Immutable):
         Positions must be strictly increasing (``-inf``/``+inf`` allowed),
         weights nonnegative with total one up to :data:`MASS_TOL`.
         """
-        xs = _checked_axis([x for x, _ in atoms], "atom positions")
-        ws = checked_mass([w for _, w in atoms], xs.shape)
+        positions, weights = _unzipped(atoms, "atom")
+        xs = _checked_axis(positions, "atom positions")
+        ws = checked_mass(weights, xs.shape)
         # The clipped cumulative with a forced endpoint of exactly 1.0 is what
         # makes quantile/cdf an exact adjoint pair in float arithmetic.
         cum = np.minimum(np.cumsum(ws), 1.0)
@@ -121,10 +133,11 @@ class Marginal(_Immutable):
     @classmethod
     def continuous(cls, knots: Sequence[tuple]) -> "Marginal":
         """Build a continuous marginal from CDF knots ``(x, F)``."""
-        if len(knots) < 2:
+        positions, levels = _unzipped(knots, "knot")
+        if len(positions) < 2:
             raise ValidationError("continuous marginal needs at least two knots")
-        xs = _checked_axis([x for x, _ in knots], "knot positions")
-        fs = _checked_axis([f for _, f in knots], "CDF values")
+        xs = _checked_axis(positions, "knot positions")
+        fs = _checked_axis(levels, "CDF values")
         # a finite span bounds every knot and every gap; Python floats overflow quietly
         if not math.isfinite(float(xs[-1]) - float(xs[0])):
             raise ValidationError("knot positions must span a finite interval")

@@ -8,9 +8,11 @@ deterministic pivoting (north-west corner start, most negative reduced cost,
 lowest-index tie-breaks, lowest-index anti-cycling fallback).  The basis is a
 spanning tree rooted at the first row, kept between pivots: each pivot walks
 the cycle up the tree, moves the subtree cut off by the leaving arc, and
-re-prices only that subtree.  The solver returns the plan together with dual
-potentials, and every call is checked against its own feasibility and
-complementary-slackness certificate.
+re-prices only that subtree.  Mass the two measures share at a point stays
+in place, so only the positive and negative parts of ``a - b`` are solved;
+the reduced column duals extend to every point by a c-transform.  Every call
+returns the plan and dual potentials of the full problem and is checked
+against its feasibility and complementary-slackness certificate.
 
 Families are compared by a capped, geometrically weighted sum of transport
 distances over the canonical subset enumeration, which metrizes convergence
@@ -219,16 +221,7 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
         else:
             degenerate_run = 0
     value = float(np.sum(cost * plan))
-    result = TransportResult(value, plan, u, v, a, b, cost, pivots)
-    if result.feasibility_deviation() > _FEASIBILITY_TOL:
-        raise InternalError(
-            f"transport plan infeasible by {result.feasibility_deviation()!r}"
-        )
-    if result.slackness_deviation() > _SLACKNESS_TOL:
-        raise InternalError(
-            f"transport duals violate slackness by {result.slackness_deviation()!r}"
-        )
-    return result
+    return TransportResult(value, plan, u, v, a, b, cost, pivots)
 
 
 def _support(t: GridMeasure):
@@ -241,6 +234,46 @@ def _support(t: GridMeasure):
     return coords[keep], masses[keep]
 
 
+def _transport_difference(ma: np.ndarray, mb: np.ndarray, cost: np.ndarray) -> TransportResult:
+    """Optimal transport that leaves shared mass in place and solves only a - b.
+
+    Under a metric cost some optimal plan keeps ``min(a_x, b_x)`` at every
+    point common to both supports, and the value depends on ``a - b`` alone
+    (Kantorovich-Rubinstein).  Common points are the zero-cost pairs, that is
+    equal phi coordinates; the reduced problem keeps the rows and columns with
+    mass left over.  The full plan is the shared diagonal plus the reduced
+    plan.  Rows take ``f``, the c-transform of the reduced column duals, and
+    columns take ``-f``: a reduced column already has ``f = -v``, every other
+    column sits on a row point.  ``f`` is 1-Lipschitz, so the full problem is
+    certified.
+    """
+    m, n = cost.shape
+    plan = np.zeros((m, n))
+    ra, rb = ma.tolist(), mb.tolist()
+    twin = [0] * n
+    # greedy over the pairs exhausts one side of every point, also where
+    # phi maps distinct grid points to one coordinate
+    for i, j in np.argwhere(cost == 0.0).tolist():
+        shared = min(ra[i], rb[j])
+        plan[i, j] = shared
+        ra[i] -= shared
+        rb[j] -= shared
+        twin[j] = i
+    ra, rb = np.array(ra), np.array(rb)
+    rows, cols = np.flatnonzero(ra > 0.0), np.flatnonzero(rb > 0.0)
+    u, v = np.zeros(m), np.zeros(n)
+    value, pivots = 0.0, 0
+    # residual mass on one side only is rounding, below MASS_TOL: nothing to move
+    if rows.size and cols.size:
+        reduced = _solve_transport(ra[rows], rb[cols], cost[np.ix_(rows, cols)])
+        plan[np.ix_(rows, cols)] += reduced.plan
+        u = np.min(cost[:, cols] - reduced.col_potentials, axis=1)
+        v = -u[twin]
+        v[cols] = reduced.col_potentials
+        value, pivots = reduced.value, reduced.pivots
+    return TransportResult(value, plan, u, v, ma, mb, cost, pivots)
+
+
 def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     """Exact optimal transport between two measures on the same axes.
 
@@ -248,7 +281,10 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     is transported as atoms at its cell upper corners, exactly like its
     ``to_tensor_measure``.  The solve runs in a canonical argument order and
     is transposed back, so ``transport_distance(a, b)`` and
-    ``transport_distance(b, a)`` are equal bit for bit.
+    ``transport_distance(b, a)`` are equal bit for bit.  Mass common to both
+    sides stays in place and only the difference is solved; the plan,
+    potentials, masses and cost are those of the full problem, whose
+    feasibility and complementary slackness are checked on every call.
     """
     if a.labels != b.labels:
         raise CompatibilityError(f"index subsets differ: {a.labels!r} vs {b.labels!r}")
@@ -258,7 +294,15 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     if swap:
         pa, ma, pb, mb = pb, mb, pa, ma
     cost = np.max(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2)
-    result = _solve_transport(ma, mb, cost)
+    result = _transport_difference(ma, mb, cost)
+    if result.feasibility_deviation() > _FEASIBILITY_TOL:
+        raise InternalError(
+            f"transport plan infeasible by {result.feasibility_deviation()!r}"
+        )
+    if result.slackness_deviation() > _SLACKNESS_TOL:
+        raise InternalError(
+            f"transport duals violate slackness by {result.slackness_deviation()!r}"
+        )
     if swap:
         result = TransportResult(
             value=result.value,
@@ -388,6 +432,12 @@ class CompactnessResult:
     num_clusters: int
 
 
+def _checked_eps(eps: float) -> None:
+    """Refuse a clustering radius that is not positive (NaN included)."""
+    if not (eps > 0):
+        raise DomainError("eps must be positive")
+
+
 def compactness_probe(seq: Sequence[CheckerboardCopula], eps: float) -> CompactnessResult:
     """Exhibit a near-constant subsequence by greedy max-norm clustering.
 
@@ -399,8 +449,7 @@ def compactness_probe(seq: Sequence[CheckerboardCopula], eps: float) -> Compactn
     """
     if not seq:
         raise DomainError("compactness probe needs a nonempty sequence")
-    if not (eps > 0):
-        raise DomainError("eps must be positive")
+    _checked_eps(eps)
     first = seq[0]
     for c in seq[1:]:
         if c.labels != first.labels or c.order != first.order:

@@ -165,3 +165,13 @@ def test_extremal_accepts_zero_samples(capsys, files):
 def test_maximize_convex_refuses_negative_counts(counts):
     with pytest.raises(DomainError, match="^interior_samples and midpoint_checks must be >= 0"):
         maximize_convex(lambda c: 0.0, 3, **counts)
+
+
+@pytest.mark.parametrize("eps", ["-1", "0"])
+def test_compact_demo_refuses_a_nonpositive_eps_by_name(capsys, files, eps):
+    # eps is checked before the mixing step, whose mass check would not name it
+    assert run(capsys, files, "compact-demo", "--eps", eps) == (
+        2,
+        "",
+        "validation error: eps must be positive\n",
+    )
