@@ -17,26 +17,26 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .copulas import CheckerboardCopula, random_copula, validate_copula
+from .copulas import CheckerboardCopula, _checked_order, random_copula, validate_copula
 from .errors import (
     CompatibilityError,
     ConfigurationError,
-    DomainError,
     EvaluationError,
     ParseError,
     UnsupportedError,
     ValidationError,
 )
 from .extremal import maximize_convex
-from .measures import TensorMeasure, quantile
+from .measures import ATOMIC, TensorMeasure, quantile
 from .projective import (
+    COPULA,
     IndexUniverse,
     ProjectiveFamily,
     check_consistency,
     family_from_copula,
     family_member,
 )
-from .sklar import _sweep, compose, decompose, discretize_joint
+from .sklar import JointMeasure, _sweep, compose, decompose, discretize_joint
 from .topology import (
     FddMetricConfig,
     _checked_eps,
@@ -83,13 +83,13 @@ def _copula_family(obj) -> ProjectiveFamily:
     if isinstance(obj, CheckerboardCopula):
         return family_from_copula(obj)
     if isinstance(obj, ProjectiveFamily):
-        if obj.kind != "copula":
+        if obj.kind != COPULA:
             raise CompatibilityError("family file does not describe a copula family")
         return obj
     raise CompatibilityError("expected a checkerboard_copula or copula family_spec file")
 
 
-def _quantile_grids(marginals: dict, labels, order: int) -> dict:
+def _quantile_grids(jm: JointMeasure, labels, order: int) -> dict:
     """Quantile points at the copula's own resolution for continuous axes.
 
     Binning a joint discretized on this grid reproduces the copula exactly,
@@ -97,8 +97,8 @@ def _quantile_grids(marginals: dict, labels, order: int) -> dict:
     """
     grids = {}
     for lab in labels:
-        m = marginals[lab]
-        if m.kind != "atomic":
+        m = jm.marginal(lab)
+        if m.kind != ATOMIC:
             grids[lab] = [quantile(m, (k + 1) / order) for k in range(order)]
     return grids
 
@@ -125,8 +125,7 @@ def cmd_validate(args) -> int:
         print(f"marginal: pass ({len(obj)} entries, invariants hold)")
         return 0
     if isinstance(obj, ProjectiveFamily):
-        if args.depth < 1:
-            raise DomainError(f"depth must be >= 1, got {args.depth}")
+        _checked_order(args.depth, "depth")
         if obj.universe.kind == IndexUniverse.FINITE:
             labels = list(obj.universe.labels)[: args.depth]
         else:
@@ -163,7 +162,7 @@ def cmd_compose(args) -> int:
         raise ConfigurationError("--subset is required for countable universes")
     jm = compose(family, marginals)
     order = family_member(family, subset).order
-    grids = _quantile_grids(marginals, subset, order)
+    grids = _quantile_grids(jm, subset, order)
     joint = discretize_joint(jm, subset, grids=grids)
     report = _sweep(jm, joint, _probe_points(joint))
     print(f"sklar_max_deviation = {report.max_deviation:.12g}")

@@ -55,18 +55,24 @@ class CheckerboardCopula(GridMeasure):
         return f"CheckerboardCopula(labels={self.labels!r}, order={self.order})"
 
 
-def _checked_order(order) -> int:
-    """``order`` as an int; anything but a whole number >= 1 (``"3"`` and
-    ``3.0`` are, ``True`` and ``2.9`` are not) raises :class:`DomainError`."""
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int; anything but a whole number (``"3"`` and ``3.0``
+    are, ``True``, ``2.9`` and ``nan`` are not) raises :class:`DomainError`."""
     try:
-        n = int(order)
-        whole = n == float(order) and not isinstance(order, bool)
+        n = int(value)
+        whole = n == float(value) and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
-        raise DomainError(f"order must be a whole number, got {order!r}")
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return n
+
+
+def _checked_order(order, name: str = "order") -> int:
+    """``order`` as an int, refused unless a whole number >= 1."""
+    n = _whole_number(order, name)
     if n < 1:
-        raise DomainError(f"order must be >= 1, got {n}")
+        raise DomainError(f"{name} must be >= 1, got {n}")
     return n
 
 

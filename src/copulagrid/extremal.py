@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, _checked_order, random_copula
+from .copulas import CheckerboardCopula, _checked_order, _whole_number, random_copula
 from .errors import (
     CompatibilityError,
     DomainError,
@@ -104,12 +104,9 @@ def birkhoff_decompose(c: CheckerboardCopula):
         raise CompatibilityError("decomposition applies to two-dimensional copulas")
     n = c.order
     scaled = c.mass * n
-    row_dev = float(np.max(np.abs(scaled.sum(axis=1) - 1.0)))
-    col_dev = float(np.max(np.abs(scaled.sum(axis=0) - 1.0)))
-    if max(row_dev, col_dev) > DOUBLY_STOCHASTIC_TOL:
-        raise ValidationError(
-            f"n * mass is not doubly stochastic (deviation {max(row_dev, col_dev)!r})"
-        )
+    dev = max(float(np.max(np.abs(scaled.sum(axis=axis) - 1.0))) for axis in (1, 0))
+    if dev > DOUBLY_STOCHASTIC_TOL:
+        raise ValidationError(f"n * mass is not doubly stochastic (deviation {dev!r})")
     work = c.mass.copy()
     terms = []
     max_terms = max(1, n * n - 2 * n + 2)
@@ -166,7 +163,8 @@ def maximize_convex(
     n = _checked_order(order)
     if n > 8:
         raise DomainError("exhaustive enumeration is limited to order <= 8")
-    samples, checks = int(interior_samples), int(midpoint_checks)
+    samples = _whole_number(interior_samples, "interior_samples")
+    checks = _whole_number(midpoint_checks, "midpoint_checks")
     if min(samples, checks) < 0:
         raise DomainError(
             f"interior_samples and midpoint_checks must be >= 0, got {samples} and {checks}"

@@ -45,7 +45,7 @@ from .measures import (
     cdf_eval_tensor,
     marginalize_tensor,
 )
-from .projective import COPULA, ProjectiveFamily, family_member
+from .projective import COPULA, IndexUniverse, ProjectiveFamily, family_member
 
 
 class JointMeasure(_Immutable):
@@ -60,7 +60,7 @@ class JointMeasure(_Immutable):
         if family.kind != COPULA:
             raise CompatibilityError("joint measures need a copula-kind family")
         marginals = MappingProxyType(dict(marginals))
-        if family.universe.kind == "finite":
+        if family.universe.kind == IndexUniverse.FINITE:
             missing = [lab for lab in family.universe.labels if lab not in marginals]
             if missing:
                 raise ConfigurationError(f"marginals missing for labels {missing!r}")
@@ -241,6 +241,16 @@ DECOMPOSE_CONSISTENCY_TOL = 1e-9
 #: CDF images this close to a cell boundary are snapped onto it
 _BOUNDARY_SNAP = 1e-9
 
+#: largest order the "smallest compatible order" hint searches
+_HINT_MAX_ORDER = 4096
+
+
+def _boundaries(levels: np.ndarray, n: int):
+    """Nearest order-``n`` boundary index of each level, and whether the level snaps onto it."""
+    scaled = levels * n
+    k = np.rint(scaled)
+    return k, np.abs(scaled - k) <= _BOUNDARY_SNAP * n
+
 
 def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardCopula:
     """Recover the checkerboard copula of a joint with continuous marginals.
@@ -255,7 +265,8 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
     margins, in which case the error names the smallest compatible order.
     """
     n = _checked_order(order)
-    image_axes = []
+    bounds = np.arange(n + 1) / n
+    images, cells = [], []
     for lab, axis in zip(t.labels, t.grid):
         try:
             m = marginals[lab]
@@ -266,32 +277,23 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
                 f"marginal for {lab!r} is atomic; the copula of a joint with "
                 "atomic marginals is not unique, so no canonical decomposition exists"
             )
-        margin = marginalize_tensor(t, (lab,))
-        own_cdf = np.cumsum(margin.mass)
+        own_cdf = np.cumsum(marginalize_tensor(t, (lab,)).mass)
         stated = np.asarray([cdf_eval(m, x) for x in axis])
         dev = float(np.max(np.abs(own_cdf - stated)))
         if dev > DECOMPOSE_CONSISTENCY_TOL:
             raise CompatibilityError(
                 f"marginal for {lab!r} deviates from the tensor margin by {dev!r}"
             )
-        snapped = stated.copy()
-        scaled = snapped * n
-        near = np.abs(scaled - np.rint(scaled)) <= _BOUNDARY_SNAP * n
-        snapped[near] = np.rint(scaled[near]) / n
-        image_axes.append(snapped)
-    bounds = np.arange(n + 1) / n
-    index_arrays = []
-    for img in image_axes:
-        idx = np.searchsorted(bounds, img, side="left") - 1
-        idx = np.clip(idx, 0, n - 1)
-        index_arrays.append(idx)
+        k, near = _boundaries(stated, n)
+        image = np.where(near, k / n, stated)
+        images.append(image)
+        cells.append(np.clip(np.searchsorted(bounds, image) - 1, 0, n - 1))
     out = np.zeros((n,) * t.ndim)
-    mesh = np.meshgrid(*index_arrays, indexing="ij")
-    np.add.at(out, tuple(mesh), t.mass)
+    np.add.at(out, tuple(np.meshgrid(*cells, indexing="ij")), t.mass)
     copula = CheckerboardCopula(t.labels, n, out)
     report = validate_copula(copula)
     if not report.passed:
-        hint = _minimal_compatible_order(image_axes)
+        hint = _minimal_compatible_order(images)
         detail = f"; smallest compatible order is {hint}" if hint else ""
         raise ValidationError(
             f"order {n} is incompatible with the CDF images "
@@ -300,17 +302,14 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
     return copula
 
 
-def _minimal_compatible_order(image_axes, limit: int = 4096):
+def _minimal_compatible_order(images):
     """Smallest order >= 2 whose interior cell boundaries are all hit by CDF images."""
-    for cand in range(2, limit + 1):
-        ok = True
-        for img in image_axes:
-            scaled = img * cand
-            hits = np.abs(scaled - np.rint(scaled)) <= _BOUNDARY_SNAP * cand
-            achieved = set(np.rint(scaled[hits]).astype(int))
-            if not all(k in achieved for k in range(1, cand)):
-                ok = False
+    for cand in range(2, _HINT_MAX_ORDER + 1):
+        for image in images:
+            k, near = _boundaries(image, cand)
+            achieved = set(k[near].tolist())
+            if not all(b in achieved for b in range(1, cand)):
                 break
-        if ok:
+        else:
             return cand
     return None

@@ -8,11 +8,10 @@ deterministic pivoting (north-west corner start, most negative reduced cost,
 lowest-index tie-breaks, lowest-index anti-cycling fallback).  The basis is a
 spanning tree rooted at the first row, kept between pivots: each pivot walks
 the cycle up the tree, moves the subtree cut off by the leaving arc, and
-re-prices only that subtree.  Mass the two measures share at a point stays
-in place, so only the positive and negative parts of ``a - b`` are solved;
-the reduced column duals extend to every point by a c-transform.  Every call
-returns the plan and dual potentials of the full problem and is checked
-against its feasibility and complementary-slackness certificate.
+re-prices only that subtree.  :func:`transport_plan` solves only the
+difference of the two measures and returns the certified plan and dual
+potentials of the full problem.  In floating point ``phi`` rounds every
+``|x|`` above about ``1e16`` to 0 or 1, so the distances are pseudometrics.
 
 Families are compared by a capped, geometrically weighted sum of transport
 distances over the canonical subset enumeration, which metrizes convergence
@@ -23,12 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, fit_uniform_margins
+from .copulas import CheckerboardCopula, _checked_order, fit_uniform_margins
 from .errors import (
     CompatibilityError,
     ConfigurationError,
@@ -234,19 +234,34 @@ def _support(t: GridMeasure):
     return coords[keep], masses[keep]
 
 
-def _transport_difference(ma: np.ndarray, mb: np.ndarray, cost: np.ndarray) -> TransportResult:
-    """Optimal transport that leaves shared mass in place and solves only a - b.
+def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
+    """Exact optimal transport between two measures on the same axes.
+
+    Either side may be a tensor measure or a checkerboard copula, which is
+    transported as atoms at its cell upper corners (its ``to_tensor_measure``).
+    The solve runs in a canonical argument order and is transposed back, so
+    ``transport_distance(a, b) == transport_distance(b, a)`` bit for bit.
 
     Under a metric cost some optimal plan keeps ``min(a_x, b_x)`` at every
-    point common to both supports, and the value depends on ``a - b`` alone
-    (Kantorovich-Rubinstein).  Common points are the zero-cost pairs, that is
-    equal phi coordinates; the reduced problem keeps the rows and columns with
-    mass left over.  The full plan is the shared diagonal plus the reduced
-    plan.  Rows take ``f``, the c-transform of the reduced column duals, and
-    columns take ``-f``: a reduced column already has ``f = -v``, every other
-    column sits on a row point.  ``f`` is 1-Lipschitz, so the full problem is
-    certified.
+    common point (a zero-cost pair: equal phi coordinates) and the value
+    depends on ``a - b`` alone (Kantorovich-Rubinstein), so only the rows and
+    columns with mass left over are solved.  Rows take ``f``, the c-transform
+    of the reduced column duals, and columns ``-f``: a reduced column already
+    has ``f = -v``, every other column sits on a row point.  ``f`` is
+    1-Lipschitz, so the returned plan, potentials, masses and cost certify
+    the full problem; feasibility and complementary slackness are checked on
+    every call.  :func:`phi` sends every ``|x|`` above about ``1e16`` to
+    exactly 0 or 1, so distinct points can share a coordinate: the distance
+    is a pseudometric.
     """
+    if a.labels != b.labels:
+        raise CompatibilityError(f"index subsets differ: {a.labels!r} vs {b.labels!r}")
+    pa, ma = _support(a)
+    pb, mb = _support(b)
+    swap = (pb.tobytes(), mb.tobytes()) < (pa.tobytes(), ma.tobytes())
+    if swap:
+        pa, ma, pb, mb = pb, mb, pa, ma
+    cost = np.max(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2)
     m, n = cost.shape
     plan = np.zeros((m, n))
     ra, rb = ma.tolist(), mb.tolist()
@@ -271,49 +286,15 @@ def _transport_difference(ma: np.ndarray, mb: np.ndarray, cost: np.ndarray) -> T
         v = -u[twin]
         v[cols] = reduced.col_potentials
         value, pivots = reduced.value, reduced.pivots
-    return TransportResult(value, plan, u, v, ma, mb, cost, pivots)
-
-
-def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
-    """Exact optimal transport between two measures on the same axes.
-
-    Either side may be a tensor measure or a checkerboard copula; a copula
-    is transported as atoms at its cell upper corners, exactly like its
-    ``to_tensor_measure``.  The solve runs in a canonical argument order and
-    is transposed back, so ``transport_distance(a, b)`` and
-    ``transport_distance(b, a)`` are equal bit for bit.  Mass common to both
-    sides stays in place and only the difference is solved; the plan,
-    potentials, masses and cost are those of the full problem, whose
-    feasibility and complementary slackness are checked on every call.
-    """
-    if a.labels != b.labels:
-        raise CompatibilityError(f"index subsets differ: {a.labels!r} vs {b.labels!r}")
-    pa, ma = _support(a)
-    pb, mb = _support(b)
-    swap = (pb.tobytes(), mb.tobytes()) < (pa.tobytes(), ma.tobytes())
     if swap:
-        pa, ma, pb, mb = pb, mb, pa, ma
-    cost = np.max(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2)
-    result = _transport_difference(ma, mb, cost)
-    if result.feasibility_deviation() > _FEASIBILITY_TOL:
-        raise InternalError(
-            f"transport plan infeasible by {result.feasibility_deviation()!r}"
-        )
-    if result.slackness_deviation() > _SLACKNESS_TOL:
-        raise InternalError(
-            f"transport duals violate slackness by {result.slackness_deviation()!r}"
-        )
-    if swap:
-        result = TransportResult(
-            value=result.value,
-            plan=result.plan.T.copy(),
-            row_potentials=result.col_potentials,
-            col_potentials=result.row_potentials,
-            row_masses=result.col_masses,
-            col_masses=result.row_masses,
-            cost=result.cost.T.copy(),
-            pivots=result.pivots,
-        )
+        plan, cost, u, v, ma, mb = plan.T.copy(), cost.T.copy(), v, u, mb, ma
+    result = TransportResult(value, plan, u, v, ma, mb, cost, pivots)
+    deviation = result.feasibility_deviation()
+    if deviation > _FEASIBILITY_TOL:
+        raise InternalError(f"transport plan infeasible by {deviation!r}")
+    deviation = result.slackness_deviation()
+    if deviation > _SLACKNESS_TOL:
+        raise InternalError(f"transport duals violate slackness by {deviation!r}")
     return result
 
 
@@ -392,8 +373,7 @@ class FddMetricConfig:
     depth: int = 7
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise DomainError(f"depth must be >= 1, got {self.depth}")
+        object.__setattr__(self, "depth", _checked_order(self.depth, "depth"))
 
 
 def fdd_distance(
@@ -404,9 +384,10 @@ def fdd_distance(
     Term ``k`` (one-based) contributes ``2**-k * min(1, d_k)`` where ``d_k``
     is the transport distance between the members over the k-th canonical
     subset (copula members are transported directly, see
-    :func:`transport_plan`), so the total is bounded by one and vanishes
-    exactly when the compared members coincide.  The ground metric is
-    bounded by one, so the cap only absorbs rounding above one.
+    :func:`transport_plan`), so the total is bounded by one; it vanishes when
+    the members coincide and, being a pseudometric (see :func:`transport_plan`),
+    may vanish when they differ.  The ground metric is bounded by one, so the
+    cap only absorbs rounding above one.
     """
     if f.universe != g.universe:
         raise CompatibilityError("families live over different index universes")
@@ -433,8 +414,8 @@ class CompactnessResult:
 
 
 def _checked_eps(eps: float) -> None:
-    """Refuse a clustering radius that is not positive (NaN included)."""
-    if not (eps > 0):
+    """Refuse a clustering radius that is not a positive real number (NaN included)."""
+    if not (isinstance(eps, numbers.Real) and eps > 0):
         raise DomainError("eps must be positive")
 
 
@@ -531,7 +512,7 @@ def continuity_probe(
     with the schedule and vanish at ``eps = 0``.
     """
     for eps in epsilons:
-        if not (0.0 <= float(eps) < 1.0):
+        if not (isinstance(eps, numbers.Real) and 0.0 <= eps < 1.0):
             raise ConfigurationError(
                 f"perturbation size {eps!r} outside [0, 1); the copula tensor "
                 "would lose positivity after renormalization"
