@@ -48,6 +48,13 @@ from .measures import (
 from .projective import COPULA, IndexUniverse, ProjectiveFamily, family_member
 
 
+def _marginal_for(marginals: Mapping, label) -> Marginal:
+    try:
+        return marginals[label]
+    except KeyError:
+        raise ConfigurationError(f"no marginal supplied for label {label!r}") from None
+
+
 class JointMeasure(_Immutable):
     """Lazily evaluated joint law given by a copula family and marginals; read-only.
 
@@ -71,10 +78,7 @@ class JointMeasure(_Immutable):
         object.__setattr__(self, "marginals", marginals)
 
     def marginal(self, label) -> Marginal:
-        try:
-            return self.marginals[label]
-        except KeyError:
-            raise ConfigurationError(f"no marginal supplied for label {label!r}") from None
+        return _marginal_for(self.marginals, label)
 
 
 def compose(family: ProjectiveFamily, marginals: Mapping) -> JointMeasure:
@@ -268,10 +272,7 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
     bounds = np.arange(n + 1) / n
     images, cells = [], []
     for lab, axis in zip(t.labels, t.grid):
-        try:
-            m = marginals[lab]
-        except KeyError:
-            raise ConfigurationError(f"no marginal supplied for label {lab!r}") from None
+        m = _marginal_for(marginals, lab)
         if m.kind != CONTINUOUS:
             raise UnsupportedError(
                 f"marginal for {lab!r} is atomic; the copula of a joint with "
@@ -304,12 +305,11 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
 
 def _minimal_compatible_order(images):
     """Smallest order >= 2 whose interior cell boundaries are all hit by CDF images."""
-    for cand in range(2, _HINT_MAX_ORDER + 1):
-        for image in images:
-            k, near = _boundaries(image, cand)
-            achieved = set(k[near].tolist())
-            if not all(b in achieved for b in range(1, cand)):
-                break
-        else:
+    # an order c needs c - 1 interior boundaries hit on every axis, and each
+    # distinct image strictly inside (0, 1) hits at most one
+    fewest = min(np.unique(image[(image > 0.0) & (image < 1.0)]).size for image in images)
+    for cand in range(2, min(_HINT_MAX_ORDER, fewest + 1) + 1):
+        boundaries = (_boundaries(image, cand) for image in images)
+        if all(set(k[near].tolist()) >= set(range(1, cand)) for k, near in boundaries):
             return cand
     return None

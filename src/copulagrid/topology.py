@@ -6,9 +6,10 @@ ground metric ``max_j |phi(x_j) - phi(y_j)|``, solved as a minimum-cost
 transportation problem by the network simplex method with fully
 deterministic pivoting (north-west corner start, most negative reduced cost,
 lowest-index tie-breaks, lowest-index anti-cycling fallback).  The basis is a
-spanning tree rooted at the first row, kept between pivots: each pivot walks
-the cycle up the tree, moves the subtree cut off by the leaving arc, and
-re-prices only that subtree.  :func:`transport_plan` solves only the
+spanning tree rooted at the first row, the solver's only state: each other
+node carries its parent arc's flow, and a pivot moves the subtree cut off by
+the leaving arc, flows and all, and re-prices only that subtree.  The plan
+is written once, after the last pivot.  :func:`transport_plan` solves only the
 difference of the two measures and returns the certified plan and dual
 potentials of the full problem.  In floating point ``phi`` rounds every
 ``|x|`` above about ``1e16`` to 0 or 1, so the distances are pseudometrics.
@@ -107,36 +108,37 @@ class TransportResult:
 def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> TransportResult:
     m, n = cost.shape
     # the basis is a spanning tree over rows 0..m-1 and columns m..m+n-1,
-    # rooted at row 0 and kept between pivots; the north-west corner rule
-    # lays it out as a staircase, each new node hanging from the previous one
-    plan = np.zeros((m, n))
-    ra, rb = a.copy(), b.copy()
+    # rooted at row 0 and kept between pivots; each other node carries the flow
+    # of its arc to its parent, and the plan is written once after the last
+    # pivot.  The north-west corner lays the tree out as a staircase, each new
+    # node hanging from the previous one, the first (column 0) from row 0
+    ra, rb = a.tolist(), b.tolist()
     parent = [0] * (m + n)
-    i = j = 0
+    flow = [0.0] * (m + n)
+    children = [[] for _ in range(m + n)]
+    children[0].append(m)
+    node, i, j = m, 0, 0
     while True:
-        amt = ra[i] if ra[i] <= rb[j] else rb[j]
-        plan[i, j] = amt
+        flow[node] = amt = min(ra[i], rb[j])
         ra[i] -= amt
         rb[j] -= amt
         if i == m - 1 and j == n - 1:
             break
-        if ra[i] == 0.0 and i < m - 1:
+        if (ra[i] == 0.0 and i < m - 1) or j == n - 1:
             i += 1
-            parent[i] = m + j
-        elif j < n - 1:
-            j += 1
-            parent[m + j] = i
+            node, parent[i] = i, m + j
         else:
-            i += 1
-            parent[i] = m + j
-    children = [[] for _ in range(m + n)]
-    for node in range(1, m + n):
+            j += 1
+            node, parent[m + j] = m + j, i
         children[parent[node]].append(node)
     depth = [0] * (m + n)
     pot = [0.0] * (m + n)
     potential = np.zeros(m + n)
     u, v = potential[:m], potential[m:]
-    arc_cost = cost.item
+
+    def arc(node):
+        up = parent[node]
+        return (node, up - m) if node < m else (up, node - m)
 
     def hang(stack):
         # a node's potential is its arc cost less its parent's potential, so
@@ -149,12 +151,12 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
             node = stack.pop()
             up = parent[node]
             depth[node] = depth[up] + 1
-            c = arc_cost(node, up - m) if node < m else arc_cost(up, node - m)
-            pot[node] = c - pot[up]
+            pot[node] = cost.item(arc(node)) - pot[up]
             moved.append(node)
             stack.extend(children[node])
         potential[moved] = [pot[k] for k in moved]
 
+    # the staircase can hang several columns from row 0: price them all
     hang(list(children[0]))
     rc = np.empty((m, n))
     max_pivots = _PIVOT_BUDGET + _PIVOT_BUDGET_PER_NODE * (m + n)
@@ -176,7 +178,8 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
             flat = int(np.argmax(rc < -_PIVOT_TOL))
         ei, ej = divmod(flat, n)
         # the cycle closed by the entering arc: both ends climb to their
-        # meeting node, each tree node standing for the arc to its parent
+        # meeting node, each tree node standing for the arc to its parent;
+        # flow leaves the arcs at even positions and joins those at odd ones
         x, y = ei, m + ej
         left, right = [], []
         while x != y:
@@ -186,31 +189,24 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
             else:
                 right.append(y)
                 y = parent[y]
-        path = [
-            (k, parent[k] - m) if k < m else (parent[k], k - m) for k in left + right[::-1]
-        ]
-        minus = path[0::2]
-        theta = min(plan[arc] for arc in minus)
-        leaving = min(arc for arc in minus if plan[arc] == theta)
-        for k, arc in enumerate(path):
-            if k % 2 == 0:
-                plan[arc] -= theta
-            else:
-                plan[arc] += theta
-        plan[ei, ej] += theta
+        cycle = left + right[::-1]
+        at = min(range(0, len(cycle), 2), key=lambda k: (flow[cycle[k]], arc(cycle[k])))
+        theta = flow[cycle[at]]
+        for k, node in enumerate(cycle):
+            flow[node] += theta if k % 2 else -theta
         # cut the subtree below the leaving arc, re-root it at the entering
-        # end inside it, and hang it from the entering end outside it
-        at = path.index(leaving)
+        # end inside it, and hang it from the entering end outside it; down
+        # the chain each node hands its flow to the next, the first takes theta
         if at < len(left):
             chain, outside = left[: at + 1], m + ej
         else:
-            chain, outside = right[: len(path) - at], ei
-        children[parent[chain[-1]]].remove(chain[-1])
-        for lower, upper in zip(chain, chain[1:]):
-            children[upper].remove(lower)
+            chain, outside = right[: len(cycle) - at], ei
+        handed = theta
         for node in chain:
+            children[parent[node]].remove(node)
             parent[node] = outside
             children[outside].append(node)
+            flow[node], handed = handed, flow[node]
             outside = node
         hang([chain[0]])
         pivots += 1
@@ -220,6 +216,9 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
                 blands_rule = True
         else:
             degenerate_run = 0
+    plan = np.zeros((m, n))
+    for node in range(1, m + n):
+        plan[arc(node)] = flow[node]
     value = float(np.sum(cost * plan))
     return TransportResult(value, plan, u, v, a, b, cost, pivots)
 

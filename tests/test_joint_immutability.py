@@ -8,9 +8,11 @@ from copulagrid import (
     IndexUniverse,
     JointMeasure,
     Marginal,
+    TensorMeasure,
     atomize,
     comonotone_family,
     compose,
+    decompose,
     discretize_joint,
     family_from_joint,
     family_member,
@@ -71,3 +73,12 @@ def test_constructor_checks_as_compose_did():
     jm = JointMeasure(independence_family(IndexUniverse.countable(), 2), {5: COIN})
     assert jm.marginal(5) is COIN
     assert family_member(jm.family, (5,)) == make_independence((5,), 2)
+
+
+def test_missing_marginal_is_refused_alike_by_both_directions():
+    jm = compose(independence_family(IndexUniverse.countable(), 2), {0: COIN})
+    with pytest.raises(ConfigurationError) as eager:
+        discretize_joint(jm, (0, 1))
+    with pytest.raises(ConfigurationError) as inverse:
+        decompose(TensorMeasure((1,), ([0.0, 1.0],), [0.5, 0.5]), {0: COIN}, 2)
+    assert str(eager.value) == str(inverse.value) == "no marginal supplied for label 1"

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from copulagrid import (
     CompatibilityError,
@@ -20,7 +22,9 @@ from copulagrid import (
     independence_family,
     make_comonotone,
     make_independence,
+    marginalize_copula,
     marginalize_tensor,
+    random_copula,
     to_tensor_measure,
     validate_copula,
 )
@@ -34,6 +38,19 @@ def all_subsets(labels):
         for size in range(1, len(labels) + 1)
         for combo in itertools.combinations(labels, size)
     ]
+
+
+def descending_chains(labels, target):
+    """Each chain of subsets from ``labels`` down to ``target`` whose steps drop labels in
+    descending order: a step drops only labels above every label a later step drops."""
+    dropped = sorted(set(labels) - set(target), reverse=True)
+    for cuts in itertools.product((False, True), repeat=len(dropped) - 1):
+        kept, chain = list(labels), []
+        for k, label in enumerate(dropped):
+            kept.remove(label)
+            if k == len(dropped) - 1 or cuts[k]:
+                chain.append(tuple(kept))
+        yield chain
 
 
 class TestUniverse:
@@ -216,19 +233,31 @@ class TestConsistency:
         assert not report.passed
         assert any("nondeterministic" in c.message for c in report.checks)
 
-    def test_poset_laws_exact_on_descending_chain(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            t = random_tensor(rng, (1, 2, 3))
-            one_step = marginalize_tensor(t, (1,))
-            two_step = marginalize_tensor(marginalize_tensor(t, (1, 2)), (1,))
-            assert np.array_equal(one_step.mass, two_step.mass)
-            assert marginalize_tensor(t, (1, 2, 3)) == t
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.integers(0, 9), min_size=2, max_size=4, unique=True),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([1, 2, 3], 2, 3)
+    def test_poset_laws_exact_on_descending_chain(self, labels, order, seed):
+        rng = np.random.default_rng(seed)
+        labels = tuple(sorted(labels))
+        for measure, marginalize in (
+            (random_tensor(rng, labels), marginalize_tensor),
+            (random_copula(labels, order, rng), marginalize_copula),
+        ):
+            assert marginalize(measure, labels) == measure
+            for target in all_subsets(labels)[:-1]:
+                one_step = marginalize(measure, target).mass.tobytes()
+                for chain in descending_chains(labels, target):
+                    step = measure
+                    for subset in chain:
+                        step = marginalize(step, subset)
+                    assert step.labels == target and step.mass.tobytes() == one_step
 
     def test_copula_family_members_keep_uniform_margins(self):
         rng = np.random.default_rng(4)
-        from copulagrid import random_copula
-
         c = random_copula((0, 1, 2), 4, rng)
         f = family_from_copula(c)
         for subset in all_subsets((0, 1, 2)):

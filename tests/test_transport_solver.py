@@ -89,6 +89,24 @@ def test_tie_heavy_corpus_matches_reference_bitwise():
         check_against_reference(integer_grid_tensor(rng, dims), integer_grid_tensor(rng, dims))
 
 
+def test_unreduced_problems_match_reference_bitwise():
+    """The solver itself, without transport_plan's reduction, against its reference."""
+    rng = np.random.default_rng(7)
+    for k in range(400):
+        m, n = (int(x) for x in rng.integers(1, 9, size=2))
+        m, n = (1 if k % 10 == 1 else m), (1 if k % 10 == 2 else n)
+        rows = rng.integers(1, 4, size=m).astype(float)
+        cols = rng.integers(1, 4, size=n).astype(float)
+        if k % 3 == 0:
+            rows[0] = 4.0 * n  # the staircase hangs several columns from row 0
+        if k % 2:
+            cost = rng.integers(0, 3, size=(m, n)) / 2.0
+        else:
+            cost = rng.uniform(size=(m, n))
+        a, b = rows / rows.sum(), cols / cols.sum()
+        same_bits(topology._solve_transport(a, b, cost), reference_solve(a, b, cost))
+
+
 def highs_value(res):
     """Optimal value of the same transport problem by HiGHS at tight tolerances."""
     linprog = pytest.importorskip("scipy.optimize").linprog
