@@ -41,8 +41,10 @@ def all_subsets(labels):
 
 
 def descending_chains(labels, target):
-    """Each chain of subsets from ``labels`` down to ``target`` whose steps drop labels in
-    descending order: a step drops only labels above every label a later step drops."""
+    """Every label-descending chain of subsets from ``labels`` down to ``target``.
+
+    In such a chain each step drops only labels above every label a later step drops.
+    """
     dropped = sorted(set(labels) - set(target), reverse=True)
     for cuts in itertools.product((False, True), repeat=len(dropped) - 1):
         kept, chain = list(labels), []
