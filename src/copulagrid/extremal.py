@@ -109,7 +109,7 @@ def birkhoff_decompose(c: CheckerboardCopula):
         raise ValidationError(f"n * mass is not doubly stochastic (deviation {dev!r})")
     work = c.mass.copy()
     terms = []
-    max_terms = max(1, n * n - 2 * n + 2)
+    max_terms = n * n - 2 * n + 2
     while True:
         support = work > _DUST
         if float(work[support].sum()) <= 1e-12:
@@ -208,7 +208,7 @@ def maximize_convex(
     return ConvexSearchResult(
         extremal_value=best_val,
         extremal_permutation=best_perm,
-        interior_value=interior_best if interior else -math.inf,
+        interior_value=interior_best,
         interior_samples=len(interior),
         interior_within_bound=interior_best <= best_val + 1e-9,
         midpoint_violations=violations,

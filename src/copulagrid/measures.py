@@ -102,15 +102,17 @@ class Marginal(_Immutable):
     :meth:`continuous` for a strictly increasing piecewise-linear CDF given by
     knots ``(x, F(x))`` with ``F = 0`` at the first knot and ``F = 1`` at the
     last.  Atoms may sit at ``-inf`` or ``+inf``; knots span a finite interval.
+    Both kinds keep the CDF ``fs`` at their support points ``xs`` (atomic laws
+    also their weights ``ws``); between two points it is a step or a line.
     Attributes are set once; assigning or deleting one raises AttributeError.
     """
 
-    __slots__ = ("kind", "xs", "ws", "fs", "cum")
+    __slots__ = ("kind", "xs", "ws", "fs")
 
-    def __init__(self, kind, xs, ws=None, fs=None, cum=None, _token=None):
+    def __init__(self, kind, xs, ws=None, fs=None, _token=None):
         if _token is not _CTOR:
             raise TypeError("use Marginal.atomic(...) or Marginal.continuous(...)")
-        for name, value in zip(self.__slots__, (kind, xs, ws, fs, cum)):
+        for name, value in zip(self.__slots__, (kind, xs, ws, fs)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -125,10 +127,10 @@ class Marginal(_Immutable):
         ws = checked_mass(weights, xs.shape)
         # The clipped cumulative with a forced endpoint of exactly 1.0 is what
         # makes quantile/cdf an exact adjoint pair in float arithmetic.
-        cum = np.minimum(np.cumsum(ws), 1.0)
-        cum[-1] = 1.0
-        cum.setflags(write=False)
-        return cls(ATOMIC, xs, ws=ws, cum=cum, _token=_CTOR)
+        fs = np.minimum(np.cumsum(ws), 1.0)
+        fs[-1] = 1.0
+        fs.setflags(write=False)
+        return cls(ATOMIC, xs, ws=ws, fs=fs, _token=_CTOR)
 
     @classmethod
     def continuous(cls, knots: Sequence[tuple]) -> "Marginal":
@@ -148,13 +150,9 @@ class Marginal(_Immutable):
     def __eq__(self, other):
         if not isinstance(other, Marginal):
             return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if not np.array_equal(self.xs, other.xs):
-            return False
-        if self.kind == ATOMIC:
-            return np.array_equal(self.ws, other.ws)
-        return np.array_equal(self.fs, other.fs)
+        return self.kind == other.kind and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("xs", "ws", "fs")
+        )
 
     __hash__ = None
 
@@ -173,15 +171,13 @@ def cdf_eval(m: Marginal, x: float) -> float:
     x = float(x)
     if math.isnan(x):
         raise DomainError("cdf argument must not be NaN")
-    if m.kind == ATOMIC:
-        i = int(np.searchsorted(m.xs, x, side="right"))
-        return 0.0 if i == 0 else float(m.cum[i - 1])
     xs, fs = m.xs, m.fs
-    if x < xs[0]:
+    i = int(np.searchsorted(xs, x, side="right"))
+    if i == 0:
         return 0.0
-    if x >= xs[-1]:
-        return 1.0
-    k = int(np.searchsorted(xs, x, side="right")) - 1
+    if m.kind == ATOMIC or i == len(xs):
+        return float(fs[i - 1])
+    k = i - 1
     raw = fs[k] + (x - xs[k]) * (fs[k + 1] - fs[k]) / (xs[k + 1] - xs[k])
     # clamping keeps the float CDF monotone across knot boundaries
     return float(min(max(raw, fs[k]), fs[k + 1]))
@@ -201,12 +197,11 @@ def quantile(m: Marginal, u: float) -> float:
         raise DomainError(f"quantile level {u!r} outside [0, 1]")
     if u == 0.0:
         return float(m.xs[0])
-    if m.kind == ATOMIC:
-        i = int(np.searchsorted(m.cum, u, side="left"))
-        return float(m.xs[i])
     xs, fs = m.xs, m.fs
-    # fs[0] == 0 < u <= 1 == fs[-1], so 1 <= k <= len(fs) - 1
     k = int(np.searchsorted(fs, u, side="left"))
+    if m.kind == ATOMIC:
+        return float(xs[k])
+    # fs[0] == 0 < u <= 1 == fs[-1], so 1 <= k <= len(fs) - 1
     lo, hi = float(xs[k - 1]), float(xs[k])
     f_lo, f_hi = float(fs[k - 1]), float(fs[k])
     y = lo + (u - f_lo) * (hi - lo) / (f_hi - f_lo)

@@ -183,7 +183,7 @@ class ConsistencyReport:
 def _members_match(a, b, tol: float):
     """Entrywise comparison of two members of one family over the same subset."""
     for ga, gb in zip(a.grid, b.grid):
-        if ga.shape != gb.shape or not np.array_equal(ga, gb):
+        if not np.array_equal(ga, gb):
             return float("inf"), "grids differ"
     dev = float(np.max(np.abs(a.mass - b.mass)))
     return dev, "" if dev <= tol else f"mass deviation {dev!r}"
@@ -196,9 +196,9 @@ def check_consistency(
 
     For each pair ``J1 <= J2`` the member over ``J2`` is marginalized onto
     ``J1`` and compared entrywise with the member over ``J1``.  Each subset's
-    rule is also re-evaluated once and compared against the cached member, so
-    a nondeterministic rule is reported as a violation rather than silently
-    cached.  Violations are collected, never raised.
+    rule is also re-evaluated once, under the family lock, and compared against
+    the cached member, so a nondeterministic rule is reported as a violation
+    rather than silently cached.  Violations are collected, never raised.
     """
     canon = [f.universe.validate_subset(s) for s in subsets]
     if not canon:
@@ -208,7 +208,8 @@ def check_consistency(
     checks = []
     for subset in canon:
         first = family_member(f, subset)
-        again = _check_member(f, subset, f.rule(subset))
+        with f._lock:
+            again = _check_member(f, subset, f.rule(subset))
         dev, msg = _members_match(first, again, tol=0.0)
         if dev != 0.0:
             checks.append(

@@ -106,20 +106,18 @@ def joint_cdf(jm: JointMeasure, labels: Iterable, point: Sequence[float]) -> flo
 def _axis_transfer(m: Marginal, order: int, grid):
     """Transfer matrix from copula cells to target points along one axis.
 
-    The unit interval is cut at every cell boundary ``k/n`` and at every
-    reachable CDF level of the marginal.  Each refined piece lies inside a
-    single cell and maps to a single target point (an atom, or the smallest
-    grid point whose CDF level covers the piece), so pushing mass through the
-    quantile map reduces to one matrix per axis.
+    The quantile map sends the levels ``(F_{a-1}, F_a]``, with ``F_{-1} = 0``,
+    to target ``a``: an atom, or a point of the covering grid.  Pushing mass
+    through it thus reduces to one matrix per axis.
 
-    Returns ``(targets, T)`` where ``T[a, k]`` is the fraction of cell ``k``
-    sent to ``targets[a]``.
+    Returns ``(targets, T)`` where ``T[a, k]``, the fraction of cell ``k``
+    sent to ``targets[a]``, is the overlap of those levels with the cell,
+    ``n * max(0, min(F_a, (k+1)/n) - max(F_{a-1}, k/n))``.
     """
     n = order
     bounds = np.arange(n + 1) / n
     if m.kind == ATOMIC:
-        targets = np.asarray(m.xs, dtype=float)
-        levels = np.asarray(m.cum, dtype=float)
+        targets, levels = m.xs, m.fs
     else:
         if grid is None:
             raise ConfigurationError(
@@ -132,12 +130,10 @@ def _axis_transfer(m: Marginal, order: int, grid):
                 "discretization grid must cover the marginal support "
                 f"(CDF at last grid point is {levels[-1]!r}, expected 1.0)"
             )
-    breaks = np.union1d(bounds, levels)
-    breaks = np.concatenate(([0.0], breaks[(breaks > 0.0) & (breaks <= 1.0)]))
-    lo, hi = breaks[:-1], breaks[1:]
-    T = np.zeros((targets.size, n))
-    np.add.at(T, (np.searchsorted(levels, hi), np.searchsorted(bounds, hi) - 1), (hi - lo) * n)
-    return targets, T
+    below = np.concatenate(([0.0], levels[:-1]))
+    hi = np.minimum(levels[:, None], bounds[1:])
+    lo = np.maximum(below[:, None], bounds[:-1])
+    return targets, np.maximum(hi - lo, 0.0) * n
 
 
 def discretize_joint(

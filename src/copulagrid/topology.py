@@ -36,7 +36,7 @@ from .errors import (
     DomainError,
     InternalError,
 )
-from .measures import ATOMIC, GridMeasure, Marginal, cdf_eval
+from .measures import ATOMIC, GridMeasure, Marginal
 from .projective import (
     ProjectiveFamily,
     canonical_subsets,
@@ -309,15 +309,12 @@ def transport_distance(a: GridMeasure, b: GridMeasure) -> float:
 
 def _segment_line(m: Marginal, lo: float, hi: float):
     """Slope and intercept of the CDF on the open interval (lo, hi)."""
-    if m.kind == ATOMIC:
-        return 0.0, cdf_eval(m, lo)
     xs, fs = m.xs, m.fs
-    if hi <= xs[0]:
-        return 0.0, 0.0
-    if lo >= xs[-1]:
-        return 0.0, 1.0
     k = int(np.searchsorted(xs, lo, side="right")) - 1
-    k = max(k, 0)
+    if k < 0:
+        return 0.0, 0.0
+    if m.kind == ATOMIC or k == len(xs) - 1:
+        return 0.0, float(fs[k])
     alpha = (fs[k + 1] - fs[k]) / (xs[k + 1] - xs[k])
     return float(alpha), float(fs[k] - alpha * xs[k])
 

@@ -10,6 +10,7 @@ from copulagrid import (
     EvaluationError,
     IndexUniverse,
     ProjectiveFamily,
+    check_consistency,
     family_member,
     make_independence,
     marginalize_copula,
@@ -141,3 +142,42 @@ def test_cycle_across_threads_raises_in_both():
     assert not any(t.is_alive() for t in threads), "family evaluation hung"
     assert "cycle: (0,) -> (1,) -> (0,)" in str(errors[0])
     assert "cycle: (1,) -> (0,) -> (1,)" in str(errors[1])
+
+
+def test_consistency_rerun_holds_the_family_lock():
+    # check_consistency re-runs each rule once; that run must exclude every
+    # other rule of the family, as family_member's runs do
+    running, peak, calls = [0], [0], []
+    count = threading.Lock()
+    rerun_started, other_ran = threading.Event(), threading.Event()
+
+    def rule(subset):
+        with count:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        calls.append(subset)
+        try:
+            if subset == (1,):
+                other_ran.set()
+            elif calls.count((0,)) == 2:
+                rerun_started.set()
+                # wait for the other caller's rule, which must not start meanwhile
+                other_ran.wait(0.5)
+            return make_independence(subset, 2)
+        finally:
+            with count:
+                running[0] -= 1
+
+    fam = ProjectiveFamily(IndexUniverse.finite([0, 1]), "copula", rule)
+    reports = []
+    checker = threading.Thread(
+        target=lambda: reports.append(check_consistency(fam, [(0,)])), daemon=True
+    )
+    checker.start()
+    assert rerun_started.wait(10), "the consistency re-run never started"
+    member = run_bounded(lambda: family_member(fam, (1,)))
+    checker.join(10)
+    assert not checker.is_alive(), "check_consistency hung"
+    assert member == make_independence((1,), 2)
+    assert reports and reports[0].passed
+    assert peak[0] == 1
