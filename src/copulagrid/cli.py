@@ -49,12 +49,15 @@ from .topology import (
 _MAX_PROBES = 4096
 
 
-def _load(path: str):
+def _load(path: str, kind=object, refusal: str = ""):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return serialize.loads(text)
+    obj = serialize.loads(text)
+    if not isinstance(obj, kind):
+        raise CompatibilityError(refusal)
+    return obj
 
 
 def _parse_labels(text: str):
@@ -151,9 +154,7 @@ def cmd_validate(args) -> int:
 
 def cmd_compose(args) -> int:
     family = _copula_family(_load(args.copula))
-    marginals = _load(args.marginals)
-    if not isinstance(marginals, dict):
-        raise CompatibilityError("second argument must be a marginal file")
+    marginals = _load(args.marginals, dict, "second argument must be a marginal file")
     if args.subset:
         subset = _parse_labels(args.subset)
     elif family.universe.kind == IndexUniverse.FINITE:
@@ -171,12 +172,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    joint = _load(args.joint)
-    if not isinstance(joint, TensorMeasure):
-        raise CompatibilityError("first argument must be a tensor_measure file")
-    marginals = _load(args.marginals)
-    if not isinstance(marginals, dict):
-        raise CompatibilityError("second argument must be a marginal file")
+    joint = _load(args.joint, TensorMeasure, "first argument must be a tensor_measure file")
+    marginals = _load(args.marginals, dict, "second argument must be a marginal file")
     copula = decompose(joint, marginals, args.order)
     jm = compose(family_from_copula(copula), marginals)
     report = _sweep(jm, joint, _probe_points(joint))

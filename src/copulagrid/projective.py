@@ -10,6 +10,7 @@ subsets, and constructors that are consistent by construction.
 from __future__ import annotations
 
 import itertools
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -200,6 +201,8 @@ def check_consistency(
     the cached member, so a nondeterministic rule is reported as a violation
     rather than silently cached.  Violations are collected, never raised.
     """
+    if not (isinstance(tol, numbers.Real) and tol >= 0):
+        raise DomainError(f"tol must be a real number >= 0, got {tol!r}")
     canon = [f.universe.validate_subset(s) for s in subsets]
     if not canon:
         raise DomainError("check_consistency needs at least one subset")

@@ -4,6 +4,9 @@ Every number is encoded as a decimal string produced by ``repr``, which
 Python guarantees to parse back to the identical float; the infinities are
 spelled ``"+inf"`` and ``"-inf"``.  Documents carry a top-level ``kind`` in
 ``{"marginal", "tensor_measure", "checkerboard_copula", "family_spec"}``.
+Decoders read each field through ``_field``, so a string or object where a
+list belongs, or a ``from_joint`` joint of another kind, is a parse error;
+values are the constructors' to check (``Marginal`` owns the pair rule).
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ def encode_float(x: float) -> str:
 def decode_float(s) -> float:
     if not isinstance(s, str):
         raise ParseError(f"expected a decimal string, got {s!r}")
-    if s == "+inf":
-        return math.inf
-    if s == "-inf":
-        return -math.inf
+    if s in ("+inf", "-inf"):
+        return float(s)
     try:
         value = float(s)
     except ValueError:
@@ -80,6 +81,17 @@ def _lookup(table: dict, key, what: str):
     raise ParseError(f"unknown {what} {key!r}; expected one of {tuple(table)}")
 
 
+def _field(doc, key: str, kind=object):
+    """``doc[key]``, refused unless ``doc`` is a JSON object holding a ``kind`` there."""
+    if isinstance(doc, dict) and key in doc and isinstance(doc[key], kind):
+        return doc[key]
+    raise ParseError(f"expected an object with {key!r} of type {kind.__name__}")
+
+
+def _labels(doc) -> list:
+    return [_decode_label(lab) for lab in _field(doc, "labels", list)]
+
+
 #: marginal type -> (document key, the array paired with ``xs``, constructor)
 _MARGINAL_TYPES = {
     ATOMIC: ("atoms", "ws", Marginal.atomic),
@@ -98,24 +110,16 @@ def encode_marginals(marginals: Mapping) -> dict:
 
 
 def decode_marginals(doc: dict) -> dict:
-    entries = doc.get("marginals")
-    if not isinstance(entries, list) or not entries:
+    entries = _field(doc, "marginals", list)
+    if not entries:
         raise ParseError("marginal document needs a nonempty 'marginals' list")
     out = {}
     for entry in entries:
-        if not isinstance(entry, dict) or "label" not in entry:
-            raise ParseError("each marginal entry needs a 'label'")
-        label = _decode_label(entry["label"])
+        label = _decode_label(_field(entry, "label"))
         if label in out:
             raise ParseError(f"duplicate marginal label {label!r}")
-        mtype = entry.get("type")
-        key, _, build = _lookup(_MARGINAL_TYPES, mtype, "marginal type")
-        pairs = entry.get(key)
-        if not isinstance(pairs, list):
-            raise ParseError(f"{mtype} marginal needs a list of {key!r}")
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-            raise ParseError(f"every entry of {key!r} must be an [x, y] pair")
-        out[label] = build([(decode_float(x), decode_float(y)) for x, y in pairs])
+        key, _, build = _lookup(_MARGINAL_TYPES, entry.get("type"), "marginal type")
+        out[label] = build(_decode_nested(_field(entry, key, list)))
     return out
 
 
@@ -129,13 +133,11 @@ def encode_tensor(t: TensorMeasure) -> dict:
 
 
 def decode_tensor(doc: dict) -> TensorMeasure:
-    try:
-        labels = [_decode_label(lab) for lab in doc["labels"]]
-        grid = [[decode_float(x) for x in axis] for axis in doc["grid"]]
-        mass = _decode_nested(doc["mass"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed tensor_measure document: {exc}") from None
-    return TensorMeasure(labels, grid, mass)
+    return TensorMeasure(
+        _labels(doc),
+        [_decode_nested(axis) for axis in _field(doc, "grid", list)],
+        _decode_nested(_field(doc, "mass")),
+    )
 
 
 def encode_copula(c: CheckerboardCopula) -> dict:
@@ -148,42 +150,35 @@ def encode_copula(c: CheckerboardCopula) -> dict:
 
 
 def decode_copula(doc: dict) -> CheckerboardCopula:
-    try:
-        labels = [_decode_label(lab) for lab in doc["labels"]]
-        order = doc["order"]
-        mass = _decode_nested(doc["mass"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed checkerboard_copula document: {exc}") from None
-    return CheckerboardCopula(labels, order, mass)
+    labels, order = _labels(doc), _field(doc, "order")
+    return CheckerboardCopula(labels, order, _decode_nested(_field(doc, "mass")))
+
+
+def _finite_universe(doc) -> IndexUniverse:
+    labels = _labels(doc)
+    if not labels:
+        raise ParseError("finite universe needs a nonempty 'labels' list")
+    return IndexUniverse.finite(labels)
+
+
+_UNIVERSES = {"countable": lambda doc: IndexUniverse.countable(), "finite": _finite_universe}
 
 
 def decode_universe(doc) -> IndexUniverse:
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise ParseError("family universe needs a 'type'")
-    if doc["type"] == "countable":
-        return IndexUniverse.countable()
-    if doc["type"] == "finite":
-        labels = doc.get("labels")
-        if not isinstance(labels, list) or not labels:
-            raise ParseError("finite universe needs a nonempty 'labels' list")
-        return IndexUniverse.finite([_decode_label(lab) for lab in labels])
-    raise ParseError(f"unknown universe type {doc['type']!r}")
+    return _lookup(_UNIVERSES, _field(doc, "type"), "universe type")(doc)
 
 
 _FAMILY_RULES = {"independence": independence_family, "comonotone": comonotone_family}
+_JOINTS = {"tensor_measure": decode_tensor}
 
 
 def decode_family(doc: dict) -> ProjectiveFamily:
     rule = doc.get("rule")
     if rule == "from_joint":
-        joint = doc.get("joint")
-        if not isinstance(joint, dict):
-            raise ParseError("from_joint family needs a 'joint' tensor document")
-        return family_from_joint(decode_tensor(joint))
-    universe = decode_universe(doc.get("universe"))
-    if "order" not in doc:
-        raise ParseError("rule-based family needs an 'order'")
-    return _lookup(_FAMILY_RULES, rule, "family rule")(universe, _checked_order(doc["order"]))
+        joint = _field(doc, "joint", dict)
+        return family_from_joint(_lookup(_JOINTS, _field(joint, "kind"), "joint kind")(joint))
+    build = _lookup(_FAMILY_RULES, rule, "family rule")
+    return build(decode_universe(_field(doc, "universe")), _checked_order(_field(doc, "order")))
 
 
 _DECODERS = dict(zip(KINDS, (decode_marginals, decode_tensor, decode_copula, decode_family)))

@@ -49,7 +49,10 @@ from .sklar import compose, discretize_joint
 
 def phi(x: float) -> float:
     """Strictly increasing map of the extended line onto ``[0, 1]``."""
-    return 0.5 + math.atan(float(x)) / math.pi
+    x = float(x)
+    if math.isnan(x):
+        raise DomainError("phi argument must not be NaN")
+    return 0.5 + math.atan(x) / math.pi
 
 
 def phi_inv(t: float) -> float:

@@ -2,8 +2,9 @@
 
 A depth or a sample count is a whole number (``3``, ``3.0`` and ``"3"`` are;
 ``2.5``, ``nan``, ``True`` and ``"abc"`` are not) and is stored as an int; a
-clustering radius and a perturbation size are real numbers.  Nothing is
-truncated and no bare Python error escapes.
+clustering radius, a perturbation size and a consistency tolerance are real
+numbers, and ``phi`` refuses NaN as ``phi_inv`` does.  Nothing is truncated
+and no bare Python error escapes.
 """
 
 import math
@@ -18,6 +19,7 @@ from copulagrid import (
     FddMetricConfig,
     IndexUniverse,
     Marginal,
+    check_consistency,
     comonotone_family,
     compactness_probe,
     continuity_probe,
@@ -25,7 +27,11 @@ from copulagrid import (
     independence_family,
     make_independence,
     maximize_convex,
+    phi,
+    phi_inv,
+    serialize,
 )
+from copulagrid.cli import main
 
 
 @pytest.mark.parametrize("depth", [2.5, math.nan, math.inf, True, "abc", None, "2.5"])
@@ -79,3 +85,38 @@ def test_a_perturbation_size_that_is_not_in_the_unit_interval_is_refused(eps):
     }
     with pytest.raises(ConfigurationError, match=f"^perturbation size {re.escape(repr(eps))} "):
         continuity_probe(make_independence((0, 1), 2), marginals, [0.5, eps])
+
+
+SUBSETS = [(0,), (1,), (0, 1)]
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, "x", "0.5", None, [0.0]])
+def test_a_tolerance_that_is_not_a_nonnegative_number_is_refused(tol):
+    family = independence_family(IndexUniverse.finite((0, 1)), 2)
+    message = f"^tol must be a real number >= 0, got {re.escape(repr(tol))}$"
+    with pytest.raises(DomainError, match=message):
+        check_consistency(family, SUBSETS, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, np.float64(1e-12), math.inf])
+def test_a_nonnegative_tolerance_checks_the_family(tol):
+    family = independence_family(IndexUniverse.finite((0, 1)), 2)
+    assert check_consistency(family, SUBSETS, tol=tol).passed
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_validate_refuses_a_tolerance_that_is_not_a_nonnegative_number(capsys, tmp_path, tol):
+    path = tmp_path / "family.json"
+    universe = {"type": "finite", "labels": [0, 1]}
+    doc = {"kind": "family_spec", "rule": "independence", "order": 2, "universe": universe}
+    path.write_text(serialize.dumps(doc))
+    code = main(["validate", str(path), "--tol", tol])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"validation error: tol must be a real number >= 0, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("f", [phi, phi_inv])
+def test_phi_and_its_inverse_refuse_nan(f):
+    with pytest.raises(DomainError):
+        f(math.nan)

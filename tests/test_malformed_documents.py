@@ -11,6 +11,7 @@ from copulagrid.measures import checked_mass
 
 GRID = [["0.0", "1.0"], ["0.0", "1.0"]]
 RAGGED = [["0.5", "0.25"], ["0.25"]]
+EVEN = [["0.25", "0.25"], ["0.25", "0.25"]]
 
 
 def _tensor(**fields):
@@ -73,6 +74,15 @@ CORPUS = {
     + "[" * 5000
     + "]" * 5000
     + "}",
+    # shapes that used to decode into wrong objects: a string or an object
+    # iterated where a list belongs, and a joint whose kind was never read
+    "tensor labels as a string": json.dumps(_tensor(labels="01", mass=EVEN)),
+    "copula labels as an object": json.dumps(_copula(labels={"a": 1}, order=1, mass=["1"])),
+    "tensor grid as a string": json.dumps(_tensor(labels=[0], grid="1", mass=["1"])),
+    "tensor grid axis as a string": json.dumps(_tensor(labels=[0], grid=["1"], mass=["1"])),
+    "family joint of kind marginal": json.dumps(
+        {"kind": "family_spec", "rule": "from_joint", "joint": _tensor(kind="marginal", mass=EVEN)}
+    ),
 }
 
 
@@ -85,6 +95,17 @@ def test_validate_exits_cleanly(capsys, tmp_path, name):
     assert code in (1, 2)
     assert captured.out == ""
     assert captured.err.startswith(("parse error: ", "validation error: "))
+    assert "Traceback" not in captured.err
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: cannot read {path}: ")
     assert "Traceback" not in captured.err
 
 
