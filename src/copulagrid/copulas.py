@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CompatibilityError, DomainError, InternalError, ValidationError
-from .measures import GridMeasure, TensorMeasure, canonical_labels, checked_mass, sum_out
+from .measures import GridMeasure, TensorMeasure, _canonical_only, canonical_labels, checked_mass
+from .measures import sum_out
 
 #: margin deviation accepted by validate_copula
 MARGIN_TOL = 1e-12
@@ -33,12 +34,12 @@ _FIT_MAX_ITER = 20000
 
 
 class CheckerboardCopula(GridMeasure):
-    """Order-``n`` checkerboard measure over an ordered index subset."""
+    """Order-``n`` checkerboard measure over an index subset, its labels canonical."""
 
     __slots__ = ("order",)
 
     def __init__(self, labels, order: int, mass):
-        labels = canonical_labels(labels)
+        labels = _canonical_only(labels)
         order = _checked_order(order)
         object.__setattr__(self, "mass", checked_mass(mass, (order,) * len(labels)))
         object.__setattr__(self, "labels", labels)
@@ -77,25 +78,25 @@ def _checked_order(order, name: str = "order") -> int:
 
 
 def make_independence(labels: Iterable, order: int) -> CheckerboardCopula:
-    """Product copula: every cell carries ``n**(-d)``."""
+    """Product copula: every cell carries ``n**(-d)``; its labels are sorted."""
     labels = tuple(labels)
     n, d = _checked_order(order), len(labels)
     mass = np.full((n,) * d, float(n) ** (-d))
-    return CheckerboardCopula(labels, n, mass)
+    return CheckerboardCopula(canonical_labels(labels), n, mass)
 
 
 def make_comonotone(labels: Iterable, order: int) -> CheckerboardCopula:
-    """Diagonal copula: cells ``(k, ..., k)`` carry ``1/n`` each."""
+    """Diagonal copula: cells ``(k, ..., k)`` carry ``1/n`` each; its labels are sorted."""
     labels = tuple(labels)
     n, d = _checked_order(order), len(labels)
     mass = np.zeros((n,) * d)
     for k in range(n):
         mass[(k,) * d] = 1.0 / n
-    return CheckerboardCopula(labels, n, mass)
+    return CheckerboardCopula(canonical_labels(labels), n, mass)
 
 
 def make_countermonotone(labels: Iterable, order: int) -> CheckerboardCopula:
-    """Antidiagonal copula; only defined for two-element index subsets."""
+    """Antidiagonal copula over two labels, which are sorted."""
     labels = tuple(labels)
     if len(labels) != 2:
         raise CompatibilityError(
@@ -105,7 +106,7 @@ def make_countermonotone(labels: Iterable, order: int) -> CheckerboardCopula:
     mass = np.zeros((n, n))
     for k in range(n):
         mass[k, n - 1 - k] = 1.0 / n
-    return CheckerboardCopula(labels, n, mass)
+    return CheckerboardCopula(canonical_labels(labels), n, mass)
 
 
 @dataclass(frozen=True)
@@ -256,8 +257,8 @@ def fit_uniform_margins(mass) -> np.ndarray:
 
 
 def random_copula(labels: Iterable, order: int, rng: np.random.Generator) -> CheckerboardCopula:
-    """Draw a generic copula by fitting uniform margins to a positive tensor."""
+    """Draw a generic copula by fitting uniform margins to a positive tensor; labels are sorted."""
     labels = tuple(labels)
     n, d = _checked_order(order), len(labels)
-    raw = rng.uniform(0.5, 1.5, size=(n,) * d)
-    return CheckerboardCopula(labels, n, fit_uniform_margins(raw))
+    mass = fit_uniform_margins(rng.uniform(0.5, 1.5, size=(n,) * d))
+    return CheckerboardCopula(canonical_labels(labels), n, mass)

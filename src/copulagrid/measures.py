@@ -72,6 +72,17 @@ def canonical_labels(labels: Iterable) -> tuple:
         raise CompatibilityError(f"labels are not mutually orderable: {seq!r}") from exc
 
 
+def _canonical_only(labels) -> tuple:
+    """``labels`` as a tuple if :func:`canonical_labels` keeps them as given, else refused."""
+    labels = tuple(labels)
+    try:
+        if canonical_labels(labels) == labels:
+            return labels
+    except CompatibilityError as exc:
+        raise ValidationError(str(exc)) from None
+    raise ValidationError(f"labels must be strictly increasing, got {labels!r}")
+
+
 class _Immutable:
     """Refuses attribute assignment and deletion; ``__init__`` uses ``object.__setattr__``.
 
@@ -258,9 +269,10 @@ def checked_mass(mass, shape: tuple) -> np.ndarray:
 class GridMeasure(_Immutable):
     """Core of every discrete measure here: labels, a grid, and a mass tensor.
 
-    Subclasses store ``labels`` and ``mass`` (built by :func:`checked_mass`)
-    and provide ``grid``, one strictly increasing axis of node positions per
-    label.  Equality compares labels, grid and mass of measures of one type.
+    Subclasses store canonical ``labels`` (see :func:`canonical_labels`; axis ``i``
+    belongs to label ``i``) and ``mass`` (built by :func:`checked_mass`) and provide
+    ``grid``, one strictly increasing axis of node positions per label.  Equality
+    compares labels, grid and mass of measures of one type.
     Attributes are set once, in ``__init__``; assigning or deleting one later
     raises :class:`AttributeError`.
     """
@@ -303,24 +315,16 @@ def sum_out(m: GridMeasure, labels: Iterable) -> tuple:
 class TensorMeasure(GridMeasure):
     """A discrete probability measure on a product grid.
 
-    ``labels`` is the ordered index subset (strictly increasing), ``grid`` a
-    per-axis tuple of strictly increasing cut points on the extended line, and
-    ``mass`` a nonnegative tensor with one entry per grid node whose total is
-    one up to :data:`MASS_TOL`.
+    ``labels`` is the index subset in canonical order (unsorted labels are
+    refused), ``grid`` a per-axis tuple of strictly increasing cut points on
+    the extended line, and ``mass`` a nonnegative tensor with one entry per
+    grid node whose total is one up to :data:`MASS_TOL`.
     """
 
     __slots__ = ("grid",)
 
     def __init__(self, labels, grid, mass):
-        labels = tuple(labels)
-        if not labels:
-            raise CompatibilityError("tensor measure needs at least one axis")
-        try:
-            ordered = all(labels[i] < labels[i + 1] for i in range(len(labels) - 1))
-        except TypeError as exc:
-            raise ValidationError(f"labels are not mutually orderable: {labels!r}") from exc
-        if not ordered:
-            raise ValidationError(f"labels must be strictly increasing, got {labels!r}")
+        labels = _canonical_only(labels)
         grid = tuple(grid)
         if len(grid) != len(labels):
             raise CompatibilityError("grid must provide one axis per label")

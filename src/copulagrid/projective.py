@@ -201,7 +201,7 @@ def check_consistency(
     the cached member, so a nondeterministic rule is reported as a violation
     rather than silently cached.  Violations are collected, never raised.
     """
-    if not (isinstance(tol, numbers.Real) and tol >= 0):
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and tol >= 0):
         raise DomainError(f"tol must be a real number >= 0, got {tol!r}")
     canon = [f.universe.validate_subset(s) for s in subsets]
     if not canon:

@@ -47,9 +47,16 @@ from .projective import (
 from .sklar import compose, discretize_joint
 
 
+def _as_float(x, what: str) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a real number, got {x!r}") from None
+
+
 def phi(x: float) -> float:
     """Strictly increasing map of the extended line onto ``[0, 1]``."""
-    x = float(x)
+    x = _as_float(x, "phi argument")
     if math.isnan(x):
         raise DomainError("phi argument must not be NaN")
     return 0.5 + math.atan(x) / math.pi
@@ -57,7 +64,7 @@ def phi(x: float) -> float:
 
 def phi_inv(t: float) -> float:
     """Inverse of :func:`phi`; the endpoints map to ``-inf`` and ``+inf``."""
-    t = float(t)
+    t = _as_float(t, "phi_inv argument")
     if math.isnan(t) or t < 0.0 or t > 1.0:
         raise DomainError(f"phi_inv argument {t!r} outside [0, 1]")
     if t == 0.0:
@@ -413,8 +420,8 @@ class CompactnessResult:
 
 
 def _checked_eps(eps: float) -> None:
-    """Refuse a clustering radius that is not a positive real number (NaN included)."""
-    if not (isinstance(eps, numbers.Real) and eps > 0):
+    """Refuse a clustering radius that is not a positive real number (NaN and bools included)."""
+    if not (isinstance(eps, numbers.Real) and not isinstance(eps, bool) and eps > 0):
         raise DomainError("eps must be positive")
 
 
@@ -511,7 +518,7 @@ def continuity_probe(
     with the schedule and vanish at ``eps = 0``.
     """
     for eps in epsilons:
-        if not (isinstance(eps, numbers.Real) and 0.0 <= eps < 1.0):
+        if not (isinstance(eps, numbers.Real) and not isinstance(eps, bool) and 0.0 <= eps < 1.0):
             raise ConfigurationError(
                 f"perturbation size {eps!r} outside [0, 1); the copula tensor "
                 "would lose positivity after renormalization"

@@ -120,3 +120,38 @@ def test_validate_refuses_a_tolerance_that_is_not_a_nonnegative_number(capsys, t
 def test_phi_and_its_inverse_refuse_nan(f):
     with pytest.raises(DomainError):
         f(math.nan)
+
+
+@pytest.mark.parametrize("f", [phi, phi_inv])
+@pytest.mark.parametrize("x", ["abc", None, [0.5], {}])
+def test_phi_and_its_inverse_refuse_what_is_not_a_number(f, x):
+    message = f"^{f.__name__} argument must be a real number, got {re.escape(repr(x))}$"
+    with pytest.raises(DomainError, match=message):
+        f(x)
+
+
+def test_phi_and_its_inverse_keep_their_nan_and_range_messages():
+    with pytest.raises(DomainError, match=r"^phi argument must not be NaN$"):
+        phi(math.nan)
+    for t in (math.nan, -0.5, 1.5):
+        with pytest.raises(DomainError, match=rf"^phi_inv argument {t!r} outside \[0, 1\]$"):
+            phi_inv(t)
+
+
+def test_a_radius_that_is_a_bool_is_refused():
+    seq = [make_independence((0, 1), 2)] * 3
+    with pytest.raises(DomainError, match="^eps must be positive$"):
+        compactness_probe(seq, True)
+
+
+@pytest.mark.parametrize("tol", [True, False])
+def test_a_tolerance_that_is_a_bool_is_refused(tol):
+    family = independence_family(IndexUniverse.finite((0, 1)), 2)
+    with pytest.raises(DomainError, match=f"^tol must be a real number >= 0, got {tol!r}$"):
+        check_consistency(family, SUBSETS, tol=tol)
+
+
+def test_a_perturbation_size_that_is_a_bool_is_refused():
+    coin = Marginal.atomic([(0.0, 0.5), (1.0, 0.5)])
+    with pytest.raises(ConfigurationError, match="^perturbation size False outside"):
+        continuity_probe(make_independence((0, 1), 2), {0: coin, 1: coin}, [False])

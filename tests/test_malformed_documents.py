@@ -83,6 +83,22 @@ CORPUS = {
     "family joint of kind marginal": json.dumps(
         {"kind": "family_spec", "rule": "from_joint", "joint": _tensor(kind="marginal", mass=EVEN)}
     ),
+    "text in the mass": json.dumps(_tensor(labels=[0], grid=[["0"]], mass=["abc"])),
+    "grid point spelled inf": json.dumps(_tensor(labels=[0], grid=[["inf"]], mass=["1"])),
+    "boolean label": json.dumps(_tensor(labels=[True], grid=[["0"]], mass=["1"])),
+    "empty marginals list": json.dumps({"kind": "marginal", "marginals": []}),
+    "duplicate marginal label": json.dumps(
+        {"kind": "marginal", "marginals": _marginal()["marginals"] * 2}
+    ),
+    "finite universe without labels": json.dumps(
+        _family(universe={"type": "finite", "labels": []})
+    ),
+    "top-level array": json.dumps([_copula(mass=EVEN)]),
+    # axis i of a measure is its i-th label in canonical order, so labels that
+    # are not already canonical are refused rather than sorted under the mass
+    "copula labels out of order": json.dumps(_copula(labels=[1, 0], mass=EVEN)),
+    "duplicate copula labels": json.dumps(_copula(labels=[0, 0], mass=EVEN)),
+    "copula labels of mixed types": json.dumps(_copula(labels=[0, "a"], mass=EVEN)),
 }
 
 
