@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, _checked_order, _whole_number, random_copula
+from .copulas import CheckerboardCopula, _checked_order, _real_number, _whole_number, random_copula
 from .errors import (
     CompatibilityError,
     DomainError,
@@ -25,7 +25,6 @@ from .errors import (
     InternalError,
     ValidationError,
 )
-from .measures import canonical_labels
 
 #: row/column sums of the n-scaled mass may deviate from one by this much
 DOUBLY_STOCHASTIC_TOL = 1e-10
@@ -143,10 +142,17 @@ class ConvexSearchResult:
     midpoint_violations: int
 
 
+def _value(functional, c: CheckerboardCopula, where) -> float:
+    """``functional(c)`` as a float; anything but a finite real number raises EvaluationError."""
+    val = functional(c)
+    if _real_number(val) and math.isfinite(val := float(val)):
+        return val
+    raise EvaluationError(f"functional returned {val!r} on {where}")
+
+
 def maximize_convex(
     functional: Callable[[CheckerboardCopula], float],
     order: int,
-    labels: Iterable = (0, 1),
     interior_samples: int = 200,
     seed: int = 0,
     midpoint_checks: int = 16,
@@ -158,7 +164,9 @@ def maximize_convex(
     functional on randomly sampled interior copulas.  Convexity is taken on
     trust; midpoint convexity is spot-checked on sampled pairs and violations
     trigger a warning, since for a genuinely convex functional the interior
-    values can never exceed the extremal maximum.
+    values can never exceed the extremal maximum.  Copulas are over labels
+    ``(0, 1)``; a value on a permutation, interior or midpoint copula that is
+    not a finite real number (a bool is not) raises :class:`EvaluationError`.
     """
     n = _checked_order(order)
     if n > 8:
@@ -169,33 +177,26 @@ def maximize_convex(
         raise DomainError(
             f"interior_samples and midpoint_checks must be >= 0, got {samples} and {checks}"
         )
-    labels = canonical_labels(labels)
     best_val = None
     best_perm = None
     for perm in itertools.permutations(range(n)):
-        val = float(functional(permutation_copula(perm, labels)))
-        if not math.isfinite(val):
-            raise EvaluationError(f"functional returned {val!r} on {perm!r}")
+        val = _value(functional, permutation_copula(perm), perm)
         if best_val is None or val > best_val:
             best_val, best_perm = val, perm
     rng = np.random.default_rng(seed)
-    interior = [random_copula(labels, n, rng) for _ in range(samples)]
+    interior = [random_copula((0, 1), n, rng) for _ in range(samples)]
     interior_best = -math.inf
     values = []
     for c in interior:
-        val = float(functional(c))
-        if not math.isfinite(val):
-            raise EvaluationError(f"functional returned {val!r} on an interior copula")
+        val = _value(functional, c, "an interior copula")
         interior_best = max(interior_best, val)
         values.append(val)
     violations = 0
     if len(interior) >= 2:
         for _ in range(checks):
             i, j = rng.integers(0, len(interior), size=2)
-            mid = CheckerboardCopula(
-                labels, n, 0.5 * (interior[i].mass + interior[j].mass)
-            )
-            lhs = float(functional(mid))
+            mid = CheckerboardCopula((0, 1), n, 0.5 * (interior[i].mass + interior[j].mass))
+            lhs = _value(functional, mid, "a midpoint copula")
             rhs = 0.5 * (values[i] + values[j])
             if lhs > rhs + 1e-9:
                 violations += 1

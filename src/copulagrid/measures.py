@@ -87,10 +87,19 @@ class _Immutable:
     """Refuses attribute assignment and deletion; ``__init__`` uses ``object.__setattr__``.
 
     ``copy`` and ``pickle`` hand the slots over as ``(None, {slot: value})``;
-    ``__setstate__`` restores them and refreezes their arrays.
+    ``__setstate__`` restores them and refreezes their arrays.  Types built only
+    by factories refuse ``__init__``; their factories go through :meth:`_of`.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _of(cls, *values):
+        """An instance holding ``values`` in slot order, built without ``__init__``."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setstate__(self, state):
         for name, value in state[1].items():
@@ -120,11 +129,8 @@ class Marginal(_Immutable):
 
     __slots__ = ("kind", "xs", "ws", "fs")
 
-    def __init__(self, kind, xs, ws=None, fs=None, _token=None):
-        if _token is not _CTOR:
-            raise TypeError("use Marginal.atomic(...) or Marginal.continuous(...)")
-        for name, value in zip(self.__slots__, (kind, xs, ws, fs)):
-            object.__setattr__(self, name, value)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use Marginal.atomic(...) or Marginal.continuous(...)")
 
     @classmethod
     def atomic(cls, atoms: Sequence[tuple]) -> "Marginal":
@@ -141,7 +147,7 @@ class Marginal(_Immutable):
         fs = np.minimum(np.cumsum(ws), 1.0)
         fs[-1] = 1.0
         fs.setflags(write=False)
-        return cls(ATOMIC, xs, ws=ws, fs=fs, _token=_CTOR)
+        return cls._of(ATOMIC, xs, ws, fs)
 
     @classmethod
     def continuous(cls, knots: Sequence[tuple]) -> "Marginal":
@@ -156,7 +162,7 @@ class Marginal(_Immutable):
             raise ValidationError("knot positions must span a finite interval")
         if fs[0] != 0.0 or fs[-1] != 1.0:
             raise ValidationError("CDF must start at exactly 0 and end at exactly 1")
-        return cls(CONTINUOUS, xs, fs=fs, _token=_CTOR)
+        return cls._of(CONTINUOUS, xs, None, fs)
 
     def __eq__(self, other):
         if not isinstance(other, Marginal):
@@ -169,9 +175,6 @@ class Marginal(_Immutable):
 
     def __repr__(self):
         return f"Marginal({self.kind}, {len(self.xs)} points)"
-
-
-_CTOR = object()
 
 
 def cdf_eval(m: Marginal, x: float) -> float:

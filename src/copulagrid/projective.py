@@ -10,7 +10,6 @@ subsets, and constructors that are consistent by construction.
 from __future__ import annotations
 
 import itertools
-import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -19,6 +18,7 @@ import numpy as np
 
 from .copulas import (
     CheckerboardCopula,
+    _real_number,
     make_comonotone,
     make_independence,
     marginalize_copula,
@@ -39,19 +39,16 @@ class IndexUniverse(_Immutable):
     FINITE = "finite"
     COUNTABLE = "countable"
 
-    def __init__(self, kind, labels=None, _token=None):
-        if _token is not _CTOR:
-            raise TypeError("use IndexUniverse.finite(...) or IndexUniverse.countable()")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use IndexUniverse.finite(...) or IndexUniverse.countable()")
 
     @classmethod
     def finite(cls, labels: Iterable) -> "IndexUniverse":
-        return cls(cls.FINITE, canonical_labels(labels), _token=_CTOR)
+        return cls._of(cls.FINITE, canonical_labels(labels))
 
     @classmethod
     def countable(cls) -> "IndexUniverse":
-        return cls(cls.COUNTABLE, None, _token=_CTOR)
+        return cls._of(cls.COUNTABLE, None)
 
     def __contains__(self, label) -> bool:
         if self.kind == self.FINITE:
@@ -76,9 +73,6 @@ class IndexUniverse(_Immutable):
         if self.kind == self.FINITE:
             return f"IndexUniverse.finite({list(self.labels)!r})"
         return "IndexUniverse.countable()"
-
-
-_CTOR = object()
 
 
 def canonical_subsets(universe: IndexUniverse) -> Iterator[tuple]:
@@ -201,7 +195,7 @@ def check_consistency(
     the cached member, so a nondeterministic rule is reported as a violation
     rather than silently cached.  Violations are collected, never raised.
     """
-    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and tol >= 0):
+    if not (_real_number(tol) and tol >= 0):
         raise DomainError(f"tol must be a real number >= 0, got {tol!r}")
     canon = [f.universe.validate_subset(s) for s in subsets]
     if not canon:

@@ -23,20 +23,19 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, _checked_order, fit_uniform_margins
+from .copulas import CheckerboardCopula, _checked_order, _real_number, fit_uniform_margins
 from .errors import (
     CompatibilityError,
     ConfigurationError,
     DomainError,
     InternalError,
 )
-from .measures import ATOMIC, GridMeasure, Marginal
+from .measures import ATOMIC, GridMeasure, Marginal, canonical_labels
 from .projective import (
     ProjectiveFamily,
     canonical_subsets,
@@ -48,10 +47,9 @@ from .sklar import compose, discretize_joint
 
 
 def _as_float(x, what: str) -> float:
-    try:
-        return float(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} must be a real number, got {x!r}") from None
+    if not _real_number(x):
+        raise DomainError(f"{what} must be a real number, got {x!r}")
+    return float(x)
 
 
 def phi(x: float) -> float:
@@ -421,7 +419,7 @@ class CompactnessResult:
 
 def _checked_eps(eps: float) -> None:
     """Refuse a clustering radius that is not a positive real number (NaN and bools included)."""
-    if not (isinstance(eps, numbers.Real) and not isinstance(eps, bool) and eps > 0):
+    if not (_real_number(eps) and eps > 0):
         raise DomainError("eps must be positive")
 
 
@@ -512,24 +510,25 @@ def continuity_probe(
 
     A fixed random direction (from ``seed``) perturbs the copula tensor
     multiplicatively (then margins are refitted to uniform) and each
-    marginal's masses; for every ``eps`` in the schedule the perturbed pair is
-    composed and the distance between the perturbed and target joint families
-    is reported next to the input-side distance.  Output distances shrink
-    with the schedule and vanish at ``eps = 0``.
+    marginal's masses, drawn in :func:`canonical_labels` order, so relabeling
+    that keeps the order keeps the report; for every ``eps`` in the schedule the
+    perturbed pair is composed and the distance between the perturbed and target
+    joint families is reported next to the input-side distance.  Output
+    distances shrink with the schedule and vanish at ``eps = 0``.
     """
     for eps in epsilons:
-        if not (isinstance(eps, numbers.Real) and not isinstance(eps, bool) and 0.0 <= eps < 1.0):
+        if not (_real_number(eps) and 0.0 <= eps < 1.0):
             raise ConfigurationError(
                 f"perturbation size {eps!r} outside [0, 1); the copula tensor "
                 "would lose positivity after renormalization"
             )
+    target_fdd = _joint_family(copula, marginals)
     rng = np.random.default_rng(seed)
     cop_dir = rng.uniform(-1.0, 1.0, size=copula.mass.shape)
     marg_dirs = {
         lab: rng.uniform(-1.0, 1.0, size=(len(m.xs) if m.kind == ATOMIC else len(m.xs) - 1))
-        for lab, m in sorted(marginals.items(), key=lambda kv: str(kv[0]))
+        for lab, m in ((lab, marginals[lab]) for lab in canonical_labels(marginals))
     }
-    target_fdd = _joint_family(copula, marginals)
     steps = []
     for eps in epsilons:
         eps = float(eps)

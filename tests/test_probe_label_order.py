@@ -1,0 +1,60 @@
+"""``continuity_probe`` draws its marginal directions in canonical label order.
+
+Relabeling the axes in a way that keeps their order keeps the report bit for
+bit, also where ``str`` order differs (``10`` sorts before ``2`` as text).
+Marginal keys that cannot be ordered are refused like any other label set.
+"""
+
+import numpy as np
+import pytest
+
+from copulagrid import (
+    CheckerboardCopula,
+    CompatibilityError,
+    ConfigurationError,
+    Marginal,
+    continuity_probe,
+    random_copula,
+)
+
+ATOMS = Marginal.atomic([(-1.0, 0.25), (0.0, 0.25), (2.0, 0.5)])
+KNOTS = Marginal.continuous([(0.0, 0.0), (1.0, 0.4), (3.0, 1.0)])
+COIN = Marginal.atomic([(0.0, 0.5), (1.0, 0.5)])
+SCHEDULE = [0.1, 0.01, 0.0]
+
+
+def probe(labels, mass, seed=3):
+    copula = CheckerboardCopula(labels, mass.shape[0], mass)
+    marginals = dict(zip(labels, [ATOMS, KNOTS, COIN]))
+    return continuity_probe(copula, marginals, SCHEDULE, seed=seed)
+
+
+@pytest.mark.parametrize("labels", [(2, 10), (2, 3), (9, 10), ("a", "b"), (-1, 0)])
+def test_order_preserving_relabeling_keeps_the_report(labels):
+    mass = random_copula((0, 1), 3, np.random.default_rng(5)).mass
+    assert probe(labels, mass) == probe((0, 1), mass)
+
+
+def test_order_preserving_relabeling_keeps_the_report_in_three_dimensions():
+    mass = random_copula((0, 1, 2), 2, np.random.default_rng(8)).mass
+    assert probe((3, 10, 20), mass, seed=1) == probe((0, 1, 2), mass, seed=1)
+
+
+def test_the_unperturbed_step_reads_zero_after_relabeling():
+    mass = random_copula((0, 1), 3, np.random.default_rng(5)).mass
+    last = probe((2, 10), mass).steps[-1]
+    assert (last.epsilon, last.input_distance, last.output_distance) == (0.0, 0.0, 0.0)
+
+
+def test_marginal_keys_that_cannot_be_ordered_are_refused():
+    copula = CheckerboardCopula((0, 1), 2, np.full((2, 2), 0.25))
+    marginals = {0: ATOMS, 1: KNOTS, "a": ATOMS}
+    with pytest.raises(CompatibilityError, match="^labels are not mutually orderable: "):
+        continuity_probe(copula, marginals, [0.1])
+
+
+@pytest.mark.parametrize("marginals", [{}, {1: KNOTS}])
+def test_missing_marginals_are_named_before_any_label_is_ordered(marginals):
+    copula = CheckerboardCopula((0, 1), 2, np.full((2, 2), 0.25))
+    with pytest.raises(ConfigurationError, match="^marginals missing for labels "):
+        continuity_probe(copula, marginals, [0.1])
