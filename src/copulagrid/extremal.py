@@ -145,8 +145,13 @@ class ConvexSearchResult:
 def _value(functional, c: CheckerboardCopula, where) -> float:
     """``functional(c)`` as a float; anything but a finite real number raises EvaluationError."""
     val = functional(c)
-    if _real_number(val) and math.isfinite(val := float(val)):
-        return val
+    try:
+        if _real_number(val) and math.isfinite(val := float(val)):
+            return val
+    except OverflowError:
+        raise EvaluationError(
+            f"functional returned a number beyond the float range on {where}"
+        ) from None
     raise EvaluationError(f"functional returned {val!r} on {where}")
 
 

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .copulas import (
+    MARGIN_TOL,
     CheckerboardCopula,
     _cell_weights,
     _checked_order,
@@ -263,6 +264,8 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
     The order must be compatible with the CDF images of the grid points: mass
     cut by a cell boundary that no image level hits cannot produce uniform
     margins, in which case the error names the smallest compatible order.
+    Where every boundary is hit and the margins still miss uniform by more
+    than the tolerance, the error says so instead.
     """
     n = _checked_order(order)
     bounds = np.arange(n + 1) / n
@@ -290,8 +293,14 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
     copula = CheckerboardCopula(t.labels, n, out)
     report = validate_copula(copula)
     if not report.passed:
-        hint = _minimal_compatible_order(images)
-        detail = f"; smallest compatible order is {hint}" if hint else ""
+        if _hits_every_boundary(images, n):
+            detail = (
+                "; every cell boundary is hit, and the margin deviation exceeds "
+                f"the tolerance {MARGIN_TOL!r}"
+            )
+        else:
+            hint = _minimal_compatible_order(images)
+            detail = f"; smallest compatible order is {hint}" if hint else ""
         raise ValidationError(
             f"order {n} is incompatible with the CDF images "
             f"(margin deviation {report.max_deviation!r}){detail}"
@@ -305,7 +314,12 @@ def _minimal_compatible_order(images):
     # distinct image strictly inside (0, 1) hits at most one
     fewest = min(np.unique(image[(image > 0.0) & (image < 1.0)]).size for image in images)
     for cand in range(2, min(_HINT_MAX_ORDER, fewest + 1) + 1):
-        boundaries = (_boundaries(image, cand) for image in images)
-        if all(set(k[near].tolist()) >= set(range(1, cand)) for k, near in boundaries):
+        if _hits_every_boundary(images, cand):
             return cand
     return None
+
+
+def _hits_every_boundary(images, n: int) -> bool:
+    """Whether the CDF images hit every interior order-``n`` cell boundary on every axis."""
+    boundaries = (_boundaries(image, n) for image in images)
+    return all(set(k[near].tolist()) >= set(range(1, n)) for k, near in boundaries)

@@ -8,11 +8,14 @@ deterministic pivoting (north-west corner start, most negative reduced cost,
 lowest-index tie-breaks, lowest-index anti-cycling fallback).  The basis is a
 spanning tree rooted at the first row, the solver's only state: each other
 node carries its parent arc's flow, and a pivot moves the subtree cut off by
-the leaving arc, flows and all, and re-prices only that subtree.  The plan
-is written once, after the last pivot.  :func:`transport_plan` solves only the
-difference of the two measures and returns the certified plan and dual
-potentials of the full problem.  In floating point ``phi`` rounds every
-``|x|`` above about ``1e16`` to 0 or 1, so the distances are pseudometrics.
+the leaving arc, flows and all, and re-prices only that subtree, writing its
+potentials into the one buffer of doubles that numpy prices in place.  The
+plan is written once, after the last pivot; the result counts the pivots,
+the degenerate ones, and whether the lowest-index rule took over.
+:func:`transport_plan` solves only the difference of the two measures and
+returns the certified plan and dual potentials of the full problem.  In
+floating point ``phi`` rounds every ``|x|`` above about ``1e16`` to 0 or 1,
+so the distances are pseudometrics.
 
 Families are compared by a capped, geometrically weighted sum of transport
 distances over the canonical subset enumeration, which metrizes convergence
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -49,7 +53,10 @@ from .sklar import compose, discretize_joint
 def _as_float(x, what: str) -> float:
     if not _real_number(x):
         raise DomainError(f"{what} must be a real number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} lies beyond the float range") from None
 
 
 def phi(x: float) -> float:
@@ -99,6 +106,9 @@ class TransportResult:
     col_masses: np.ndarray
     cost: np.ndarray
     pivots: int
+    #: pivots that moved no flow; whether the lowest-index entering rule took over
+    degenerate_pivots: int = 0
+    lowest_index_rule: bool = False
 
     def feasibility_deviation(self) -> float:
         row = float(np.max(np.abs(self.plan.sum(axis=1) - self.row_masses)))
@@ -140,9 +150,12 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
             node, parent[m + j] = m + j, i
         children[parent[node]].append(node)
     depth = [0] * (m + n)
-    pot = [0.0] * (m + n)
-    potential = np.zeros(m + n)
-    u, v = potential[:m], potential[m:]
+    # the tree walk writes potentials into one buffer that pricing reads in place
+    pot = array("d", [0.0] * (m + n))
+    potential = np.frombuffer(pot)
+    u, v, ucol = potential[:m], potential[m:], potential[:m, None]
+    # arc_cost[k][p]: the cost of the arc between node k and its parent p
+    arc_cost = [[0.0] * m + row for row in cost.tolist()] + cost.T.tolist()
 
     def arc(node):
         up = parent[node]
@@ -151,31 +164,24 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
     def hang(stack):
         # a node's potential is its arc cost less its parent's potential, so
         # re-pricing a moved subtree top-down gives the same floats as
-        # pricing the whole tree from the root; the walk does its scalar
-        # arithmetic on Python floats and copies the results into the array
-        # that pricing reads
-        moved = []
-        while stack:
-            node = stack.pop()
+        # pricing the whole tree from the root
+        for node in stack:
             up = parent[node]
             depth[node] = depth[up] + 1
-            pot[node] = cost.item(arc(node)) - pot[up]
-            moved.append(node)
-            stack.extend(children[node])
-        potential[moved] = [pot[k] for k in moved]
+            pot[node] = arc_cost[node][up] - pot[up]
+            stack += children[node]
 
     # the staircase can hang several columns from row 0: price them all
     hang(list(children[0]))
     rc = np.empty((m, n))
     max_pivots = _PIVOT_BUDGET + _PIVOT_BUDGET_PER_NODE * (m + n)
-    pivots = 0
-    degenerate_run = 0
+    pivots = degenerate = degenerate_run = 0
     blands_rule = False
     while True:
-        np.subtract(cost, u[:, None], out=rc)
+        np.subtract(cost, ucol, out=rc)
         np.subtract(rc, v, out=rc)
-        flat = int(np.argmin(rc))
-        if not rc.flat[flat] < -_PIVOT_TOL:
+        flat = int(rc.argmin())
+        if not rc.item(flat) < -_PIVOT_TOL:
             break
         if pivots >= max_pivots:
             raise InternalError("transport solver exceeded its pivot budget")
@@ -198,13 +204,18 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
                 right.append(y)
                 y = parent[y]
         cycle = left + right[::-1]
-        at = min(range(0, len(cycle), 2), key=lambda k: (flow[cycle[k]], arc(cycle[k])))
-        theta = flow[cycle[at]]
-        for k, node in enumerate(cycle):
-            flow[node] += theta if k % 2 else -theta
+        losing = cycle[0::2]
+        least = min([flow[k] for k in losing])
+        leaving = min([k for k in losing if flow[k] == least], key=arc)
+        theta = flow[leaving]
+        for k in losing:
+            flow[k] -= theta
+        for k in cycle[1::2]:
+            flow[k] += theta
         # cut the subtree below the leaving arc, re-root it at the entering
         # end inside it, and hang it from the entering end outside it; down
         # the chain each node hands its flow to the next, the first takes theta
+        at = cycle.index(leaving)
         if at < len(left):
             chain, outside = left[: at + 1], m + ej
         else:
@@ -219,6 +230,7 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
         hang([chain[0]])
         pivots += 1
         if theta == 0.0:
+            degenerate += 1
             degenerate_run += 1
             if degenerate_run > _DEGENERATE_SLACK + m + n:
                 blands_rule = True
@@ -228,7 +240,9 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
     for node in range(1, m + n):
         plan[arc(node)] = flow[node]
     value = float(np.sum(cost * plan))
-    return TransportResult(value, plan, u, v, a, b, cost, pivots)
+    return TransportResult(
+        value, plan, u.copy(), v.copy(), a, b, cost, pivots, degenerate, blands_rule
+    )
 
 
 def _support(t: GridMeasure):
@@ -284,7 +298,7 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     ra, rb = np.array(ra), np.array(rb)
     rows, cols = np.flatnonzero(ra > 0.0), np.flatnonzero(rb > 0.0)
     u, v = np.zeros(m), np.zeros(n)
-    value, pivots = 0.0, 0
+    value, pivots, degenerate, bland = 0.0, 0, 0, False
     # residual mass on one side only is rounding, below MASS_TOL: nothing to move
     if rows.size and cols.size:
         reduced = _solve_transport(ra[rows], rb[cols], cost[np.ix_(rows, cols)])
@@ -293,9 +307,10 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
         v = -u[twin]
         v[cols] = reduced.col_potentials
         value, pivots = reduced.value, reduced.pivots
+        degenerate, bland = reduced.degenerate_pivots, reduced.lowest_index_rule
     if swap:
         plan, cost, u, v, ma, mb = plan.T.copy(), cost.T.copy(), v, u, mb, ma
-    result = TransportResult(value, plan, u, v, ma, mb, cost, pivots)
+    result = TransportResult(value, plan, u, v, ma, mb, cost, pivots, degenerate, bland)
     deviation = result.feasibility_deviation()
     if deviation > _FEASIBILITY_TOL:
         raise InternalError(f"transport plan infeasible by {deviation!r}")

@@ -16,6 +16,7 @@ to ``8 m`` and may be refused, but only with a ``ValidationError``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,3 +84,27 @@ def test_decompose_recovers_the_composed_copula(d, order, seed):
     assert float(np.max(np.abs(recovered.mass - copula.mass))) <= bound
     round_trip = compose(family_from_copula(recovered), marginals)
     assert _sweep(round_trip, joint, _probe_points(joint)).max_deviation <= bound
+
+
+@pytest.mark.parametrize("seed, order, refused", [(0, 7, (7,)), (9, 4, (4, 2))])
+def test_a_refusal_with_every_boundary_hit_names_no_order(seed, order, refused):
+    """A 1-d copula from the generator above, composed and refused at its own order.
+
+    Every CDF image hits its cell boundary, yet the margins miss ``1/order`` by
+    more than the tolerance, so no order is named as the fix.  Seed 0 (a
+    39-knot marginal on [4, 9]) used to name order 7, the refused order
+    itself; seed 9 named order 2, which is refused as well.
+    """
+    rng = np.random.default_rng(seed)
+    copula = random_copula((0,), order, rng)
+    marginals = {0: stressed_continuous(rng)}
+    jm = compose(family_from_copula(copula), marginals)
+    joint = discretize_joint(jm, (0,), grids=_quantile_grids(jm, (0,), order))
+    for n in refused:
+        with pytest.raises(ValidationError) as info:
+            decompose(joint, marginals, n)
+        message = str(info.value)
+        assert message.startswith(f"order {n} is incompatible with the CDF images (margin ")
+        assert message.endswith(
+            "; every cell boundary is hit, and the margin deviation exceeds the tolerance 1e-12"
+        )

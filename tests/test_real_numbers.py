@@ -46,6 +46,18 @@ def test_phi_and_its_inverse_read_real_numbers_as_their_float(f, x):
     assert f(x) == f(float(x))
 
 
+BEYOND_FLOATS = [10**400, -(10**400), Fraction(10**400, 3)]
+BEYOND_IDS = ["10**400", "-10**400", "Fraction(10**400, 3)"]
+
+
+@pytest.mark.parametrize("f", [phi, phi_inv])
+@pytest.mark.parametrize("x", BEYOND_FLOATS, ids=BEYOND_IDS)
+def test_phi_and_its_inverse_refuse_real_numbers_beyond_the_float_range(f, x):
+    # before, float() raised a bare OverflowError here
+    with pytest.raises(DomainError, match=f"^{f.__name__} argument lies beyond the float range$"):
+        f(x)
+
+
 def test_the_rule_accepts_real_numbers_of_any_numeric_type_for_radii_and_tolerances():
     seq = [make_independence((0, 1), 2)] * 3
     assert compactness_probe(seq, Fraction(1, 10)).indices == compactness_probe(seq, 0.1).indices
@@ -102,6 +114,18 @@ def test_non_finite_numpy_values_are_shown_as_floats(value):
         message = f"functional returned {float(value)!r} on {where}"
         with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
             maximize_convex(after(calls, value), 3, interior_samples=2)
+
+
+@pytest.mark.parametrize("value", BEYOND_FLOATS, ids=BEYOND_IDS)
+@pytest.mark.parametrize(
+    "calls, where", [(0, "(0, 1, 2)"), (6, "an interior copula"), (16, "a midpoint copula")]
+)
+def test_a_value_beyond_the_float_range_is_refused(value, calls, where):
+    message = f"functional returned a number beyond the float range on {where}"
+    with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+        maximize_convex(after(calls, value), 3, interior_samples=10)
+    with pytest.raises(EvaluationError, match="beyond the float range on \\(0, 1\\)$"):
+        maximize_convex(lambda c: value, 2)
 
 
 @pytest.mark.parametrize("kind", [np.float64, Fraction])

@@ -1,5 +1,7 @@
 """The spanning-tree transport solver against its slow reference and HiGHS."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -89,6 +91,16 @@ def test_tie_heavy_corpus_matches_reference_bitwise():
         check_against_reference(integer_grid_tensor(rng, dims), integer_grid_tensor(rng, dims))
 
 
+@pytest.mark.parametrize("order", [14, 16])
+def test_benchmark_order_copula_solves_match_reference_bitwise(order):
+    """The 2-d orders the fdd-transport benchmark solves, past the corpus above."""
+    for seed in range(2):
+        rng = np.random.default_rng([order, seed])
+        check_against_reference(
+            random_copula((0, 1), order, rng), random_copula((0, 1), order, rng)
+        )
+
+
 def test_unreduced_problems_match_reference_bitwise():
     """The solver itself, without transport_plan's reduction, against its reference."""
     rng = np.random.default_rng(7)
@@ -161,5 +173,83 @@ def test_lowest_index_rule_from_first_degenerate_pivot(monkeypatch):
     monkeypatch.setattr(topology, "_DEGENERATE_SLACK", -(10**9))
     bland = transport_plan(a, b)
     assert bland.pivots != default.pivots
+    assert bland.lowest_index_rule and not default.lowest_index_rule
     assert abs(bland.value - highs_value(bland)) <= 1e-9
     assert_certified(bland)
+
+
+def degenerate_square_problems():
+    """Equal masses on square problems with costs in ``{0, 1/2, 1}``.
+
+    The north-west start puts zero flows on the basis and ties are everywhere,
+    so degenerate pivots come early.
+    """
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        n = int(rng.integers(3, 9))
+        cost = rng.integers(0, 3, size=(n, n)) / 2.0
+        yield np.full(n, 1.0 / n), np.full(n, 1.0 / n), cost
+
+
+# value and pivots of each problem above, and one SHA-256 over the plan and
+# potential bytes of all ten, with the lowest-index rule from the first
+# degenerate pivot on
+LOWEST_INDEX_PINS = [
+    ("0x1.0000000000000p-4", 24),
+    ("0x1.2492492492492p-4", 24),
+    ("0x0.0p+0", 13),
+    ("0x1.5555555555555p-1", 0),
+    ("0x1.2492492492492p-3", 17),
+    ("0x1.999999999999ap-3", 8),
+    ("0x1.2492492492492p-3", 19),
+    ("0x0.0p+0", 12),
+    ("0x1.2492492492492p-3", 22),
+    ("0x1.999999999999ap-4", 6),
+]
+LOWEST_INDEX_DIGEST = "bfc36b99d925a99099fcc841910849f12faf04a23265c0551c43f13924117507"
+
+
+def test_lowest_index_path_keeps_its_pinned_bits(monkeypatch):
+    # the reference hard-codes its degenerate slack and cannot take this path,
+    # so pinned bits guard it instead
+    monkeypatch.setattr(topology, "_DEGENERATE_SLACK", -(10**9))
+    digest, seen = hashlib.sha256(), []
+    for a, b, cost in degenerate_square_problems():
+        res = topology._solve_transport(a, b, cost)
+        for arr in (res.plan, res.row_potentials, res.col_potentials):
+            digest.update(arr.tobytes())
+        seen.append((res.value.hex(), res.pivots))
+        assert res.lowest_index_rule == (res.degenerate_pivots > 0)
+        assert_certified(res)
+    assert seen == LOWEST_INDEX_PINS
+    assert digest.hexdigest() == LOWEST_INDEX_DIGEST
+
+
+@pytest.mark.parametrize("slack", [topology._DEGENERATE_SLACK, -(10**9)])
+def test_counters_come_from_the_reduced_solve_in_both_orders(monkeypatch, slack):
+    solve, solves = topology._solve_transport, []
+
+    def recording(a, b, cost):
+        solves.append(solve(a, b, cost))
+        return solves[-1]
+
+    monkeypatch.setattr(topology, "_DEGENERATE_SLACK", slack)
+    monkeypatch.setattr(topology, "_solve_transport", recording)
+    a, b = permutation_copula([2, 0, 4, 1, 3]), make_independence((0, 1), 5)
+    for res in (transport_plan(a, b), transport_plan(b, a)):
+        inner = solves.pop()
+        counters = (res.pivots, res.degenerate_pivots, res.lowest_index_rule)
+        assert counters == (inner.pivots, inner.degenerate_pivots, inner.lowest_index_rule)
+        assert 0 < res.degenerate_pivots < res.pivots
+        assert res.lowest_index_rule == (slack < 0)
+
+
+def test_results_do_not_share_potential_memory():
+    rng = np.random.default_rng(17)
+    a, b = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(7))
+    cost = rng.uniform(size=(6, 7))
+    first = topology._solve_transport(a, b, cost)
+    cols = first.col_potentials.copy()
+    first.row_potentials[:] = np.nan
+    assert first.col_potentials.tobytes() == cols.tobytes()
+    same_bits(topology._solve_transport(a, b, cost), reference_solve(a, b, cost))
