@@ -15,16 +15,16 @@ broken inputs can be diagnosed.
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CompatibilityError, DomainError, InternalError, ValidationError
-from .measures import GridMeasure, TensorMeasure, _canonical_only, canonical_labels, checked_mass
-from .measures import sum_out
+from .measures import GridMeasure, TensorMeasure, _as_float, _canonical_only, canonical_labels
+from .measures import checked_mass, sum_out
 
 #: margin deviation accepted by validate_copula
 MARGIN_TOL = 1e-12
@@ -48,10 +48,8 @@ class CheckerboardCopula(GridMeasure):
 
     @property
     def grid(self) -> tuple:
-        """Cell upper corners ``(k+1)/n`` on every axis, computed on access."""
-        axis = np.arange(1, self.order + 1) / self.order
-        axis.setflags(write=False)
-        return (axis,) * self.ndim
+        """Cell upper corners ``(k+1)/n`` on every axis, read-only."""
+        return (_bounds(self.order)[1:],) * self.ndim
 
     def __repr__(self):
         return f"CheckerboardCopula(labels={self.labels!r}, order={self.order})"
@@ -68,12 +66,6 @@ def _whole_number(value, name: str) -> int:
     if not whole:
         raise DomainError(f"{name} must be a whole number, got {value!r}")
     return n
-
-
-def _real_number(value) -> bool:
-    """Whether ``value`` is a real number: a :class:`numbers.Real` that is not a bool."""
-    # a float is the common case, and this test of it is 30 times cheaper
-    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def _checked_order(order, name: str = "order") -> int:
@@ -167,25 +159,37 @@ def marginalize_copula(c: CheckerboardCopula, labels: Iterable) -> CheckerboardC
     return CheckerboardCopula(target, c.order, mass)
 
 
-def _cell_weights(bounds: np.ndarray, u_j: float) -> np.ndarray:
-    """Share of each cell ``[bounds[k], bounds[k+1]]`` that lies below ``u_j``.
+@functools.lru_cache(maxsize=64)
+def _bounds(n: int) -> np.ndarray:
+    """Read-only cell boundaries ``k/n``, ``k = 0, ..., n``, of order ``n``."""
+    bounds = np.arange(n + 1) / n
+    bounds.setflags(write=False)
+    return bounds
+
+
+def _cell_weights(n: int, u_j) -> np.ndarray:
+    """Share of each order-``n`` cell ``[k/n, (k+1)/n]`` that lies below ``u_j``.
 
     Cells wholly below count 1, the cell holding ``u_j`` its covered
     fraction, cells above 0.
     """
-    u_j = float(u_j)
+    u_j = _as_float(u_j, "copula CDF argument")
     if math.isnan(u_j) or u_j < 0.0 or u_j > 1.0:
         raise DomainError(f"copula CDF argument {u_j!r} outside [0, 1]")
-    n = len(bounds) - 1
-    w = np.zeros(n)
     if u_j == 1.0:
-        w[:] = 1.0
-    else:
-        cell = int(np.searchsorted(bounds, u_j, side="right")) - 1
-        w[:cell] = 1.0
-        frac = (u_j - bounds[cell]) * n
-        w[cell] = min(max(frac, 0.0), 1.0)
+        return np.ones(n)
+    bounds = _bounds(n)
+    cell = int(bounds.searchsorted(u_j, side="right")) - 1
+    w = np.zeros(n)
+    w[:cell] = 1.0
+    w[cell] = min(max((u_j - bounds.item(cell)) * n, 0.0), 1.0)
     return w
+
+
+@functools.lru_cache(maxsize=None)
+def _first_axis_last(ndim: int) -> tuple:
+    """Transpose axes that move the first of ``ndim`` axes to the end."""
+    return tuple(range(1, ndim)) + (0,)
 
 
 def _contract(val: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -196,7 +200,7 @@ def _contract(val: np.ndarray, w: np.ndarray) -> np.ndarray:
     tensordot's bookkeeping.
     """
     n = w.shape[0]
-    at = val.transpose(tuple(range(1, val.ndim)) + (0,)).reshape(-1, n)
+    at = val.transpose(_first_axis_last(val.ndim)).reshape(-1, n)
     return np.dot(at, w.reshape(n, 1)).reshape(val.shape[1:])
 
 
@@ -208,12 +212,10 @@ def cdf_eval_copula(c: CheckerboardCopula, u: Sequence[float]) -> float:
     """
     if len(u) != c.ndim:
         raise CompatibilityError(f"point has {len(u)} coordinates, copula has {c.ndim}")
-    n = c.order
-    bounds = np.arange(n + 1) / n
     val = c.mass
     for u_j in u:
-        val = _contract(val, _cell_weights(bounds, u_j))
-    return float(min(max(float(val), 0.0), 1.0))
+        val = _contract(val, _cell_weights(c.order, u_j))
+    return min(max(val.item(), 0.0), 1.0)
 
 
 def to_tensor_measure(c: CheckerboardCopula) -> TensorMeasure:

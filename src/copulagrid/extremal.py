@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, _checked_order, _real_number, _whole_number, random_copula
+from .copulas import CheckerboardCopula, _checked_order, _whole_number, random_copula
 from .errors import (
     CompatibilityError,
     DomainError,
@@ -25,6 +25,7 @@ from .errors import (
     InternalError,
     ValidationError,
 )
+from .measures import _real_number
 
 #: row/column sums of the n-scaled mass may deviate from one by this much
 DOUBLY_STOCHASTIC_TOL = 1e-10

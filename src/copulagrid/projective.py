@@ -18,14 +18,13 @@ import numpy as np
 
 from .copulas import (
     CheckerboardCopula,
-    _real_number,
     make_comonotone,
     make_independence,
     marginalize_copula,
     validate_copula,
 )
 from .errors import CompatibilityError, DomainError, EvaluationError, ValidationError
-from .measures import TensorMeasure, _Immutable, canonical_labels, marginalize_tensor
+from .measures import TensorMeasure, _Immutable, _real_number, canonical_labels, marginalize_tensor
 
 COPULA = "copula"
 GENERAL = "general"

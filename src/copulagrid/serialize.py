@@ -58,7 +58,7 @@ def decode_float(s) -> float:
 
 def _encode_nested(arr: np.ndarray):
     if arr.ndim == 1:
-        return [encode_float(x) for x in arr]
+        return [encode_float(x) for x in arr.tolist()]
     return [_encode_nested(sub) for sub in arr]
 
 
@@ -127,7 +127,7 @@ def encode_tensor(t: TensorMeasure) -> dict:
     return {
         "kind": "tensor_measure",
         "labels": list(t.labels),
-        "grid": [[encode_float(x) for x in axis] for axis in t.grid],
+        "grid": [[encode_float(x) for x in axis.tolist()] for axis in t.grid],
         "mass": _encode_nested(t.mass),
     }
 

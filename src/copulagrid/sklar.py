@@ -23,6 +23,7 @@ import numpy as np
 from .copulas import (
     MARGIN_TOL,
     CheckerboardCopula,
+    _bounds,
     _cell_weights,
     _checked_order,
     _contract,
@@ -40,10 +41,11 @@ from .measures import (
     CONTINUOUS,
     Marginal,
     TensorMeasure,
+    _as_float,
     _Immutable,
     _checked_axis,
+    _mass_below,
     cdf_eval,
-    cdf_eval_tensor,
     marginalize_tensor,
 )
 from .projective import COPULA, IndexUniverse, ProjectiveFamily, family_member
@@ -116,7 +118,7 @@ def _axis_transfer(m: Marginal, order: int, grid):
     ``n * max(0, min(F_a, (k+1)/n) - max(F_{a-1}, k/n))``.
     """
     n = order
-    bounds = np.arange(n + 1) / n
+    bounds = _bounds(n)
     if m.kind == ATOMIC:
         targets, levels = m.xs, m.fs
     else:
@@ -193,18 +195,20 @@ def _sweep(jm: JointMeasure, eager: TensorMeasure, probes: Iterable) -> SklarChe
     """:func:`verify_sklar` against a given eager tensor over ``eager.labels``.
 
     The CLI passes the joint that ``compose`` writes or ``decompose`` reads,
-    so every Sklar cross-check runs here.  Each axis computes its marginal
-    CDF level and cell weights once per distinct coordinate.  A stack holds
-    the copula mass contracted along each prefix of the last probe's
+    so every Sklar cross-check runs here.  Each axis reads a distinct
+    coordinate once: its marginal CDF level and cell weights on the lazy
+    side, and on the eager side the end of the grid slice below it.  A stack
+    holds the copula mass contracted along each prefix of the last probe's
     coordinates, so a probe contracts only the axes after the prefix it
     shares with the previous one; on a product grid that is the last axis.
+    The eager value stays the slice's own sum, as in
+    :func:`~copulagrid.measures.cdf_eval_tensor`, for its bits.
     """
     subset = eager.labels
     member = family_member(jm.family, subset)
     marginals = [jm.marginal(lab) for lab in subset]
-    bounds = np.arange(member.order + 1) / member.order
     d = len(subset)
-    memo = [{} for _ in subset]  # per axis: coordinate -> cell weights
+    memo = [{} for _ in subset]  # per axis: coordinate -> (cell weights, eager slice end)
     prefix = []  # the last probe's cell weights
     stack = [member.mass]  # stack[j]: the mass contracted along prefix[:j]
     worst = 0.0
@@ -213,13 +217,15 @@ def _sweep(jm: JointMeasure, eager: TensorMeasure, probes: Iterable) -> SklarChe
     for probe in probes:
         if len(probe) != d:
             raise CompatibilityError(f"point has {len(probe)} coordinates for subset of size {d}")
-        weights = []
+        weights, ends = [], []
         for j, x in enumerate(probe):
-            x = float(x)
-            w = memo[j].get(x)
-            if w is None:
-                w = memo[j][x] = _cell_weights(bounds, cdf_eval(marginals[j], x))
-            weights.append(w)
+            x = _as_float(x, "cdf argument")
+            seen = memo[j].get(x)
+            if seen is None:
+                w = _cell_weights(member.order, cdf_eval(marginals[j], x))
+                seen = memo[j][x] = (w, int(eager.grid[j].searchsorted(x, side="right")))
+            weights.append(seen[0])
+            ends.append(seen[1])
         keep = 0
         while keep < len(prefix) and weights[keep] is prefix[keep]:
             keep += 1
@@ -227,8 +233,8 @@ def _sweep(jm: JointMeasure, eager: TensorMeasure, probes: Iterable) -> SklarChe
         for j in range(keep, d):
             stack.append(_contract(stack[j], weights[j]))
         prefix = weights
-        a = float(min(max(float(stack[d]), 0.0), 1.0))
-        b = cdf_eval_tensor(eager, probe)
+        a = min(max(stack[d].item(), 0.0), 1.0)
+        b = _mass_below(eager.mass, ends)
         dev = abs(a - b)
         if dev > worst:
             worst, worst_probe = dev, tuple(float(x) for x in probe)
@@ -268,7 +274,7 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
     than the tolerance, the error says so instead.
     """
     n = _checked_order(order)
-    bounds = np.arange(n + 1) / n
+    bounds = _bounds(n)
     images, cells = [], []
     for lab, axis in zip(t.labels, t.grid):
         m = _marginal_for(marginals, lab)

@@ -32,14 +32,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, _checked_order, _real_number, fit_uniform_margins
+from .copulas import CheckerboardCopula, _checked_order, fit_uniform_margins
 from .errors import (
     CompatibilityError,
     ConfigurationError,
     DomainError,
     InternalError,
 )
-from .measures import ATOMIC, GridMeasure, Marginal, canonical_labels
+from .measures import ATOMIC, GridMeasure, Marginal, _as_float, _real_number, canonical_labels
 from .projective import (
     ProjectiveFamily,
     canonical_subsets,
@@ -48,15 +48,6 @@ from .projective import (
     family_member,
 )
 from .sklar import compose, discretize_joint
-
-
-def _as_float(x, what: str) -> float:
-    if not _real_number(x):
-        raise DomainError(f"{what} must be a real number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise DomainError(f"{what} lies beyond the float range") from None
 
 
 def phi(x: float) -> float:

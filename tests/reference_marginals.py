@@ -2,14 +2,17 @@
 
 ``cdf_eval``, ``quantile`` (with ``_smallest_reaching``), ``topology._segment_line``
 and ``sklar._axis_transfer`` are copied verbatim from before every reader
-looked its point up once in the one ``(xs, fs)`` table, with one exception:
+looked its point up once in the one ``(xs, fs)`` table, with two exceptions:
 ``m.cum`` is now ``_cum(m)``, the clipped cumulative the atomic constructor
-used to store.  ``_axis_transfer`` then cut the unit interval at the union
+used to store, and ``cdf_eval`` and ``quantile`` refuse an argument that is
+not a real number, or lies beyond the float range, with the library's
+``DomainError``.  ``_axis_transfer`` then cut the unit interval at the union
 of cell boundaries and CDF levels and scattered the pieces with
 ``np.add.at``.  The library must agree with them bit for bit.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -29,7 +32,12 @@ def cdf_eval(m: Marginal, x: float) -> float:
 
     Right-continuous in ``x``; ``F(+inf) = 1`` exactly.
     """
-    x = float(x)
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise DomainError(f"cdf argument must be a real number, got {x!r}")
+    try:
+        x = float(x)
+    except OverflowError:
+        raise DomainError("cdf argument lies beyond the float range") from None
     if math.isnan(x):
         raise DomainError("cdf argument must not be NaN")
     if m.kind == ATOMIC:
@@ -55,7 +63,12 @@ def quantile(m: Marginal, u: float) -> float:
     and only if ``u <= cdf_eval(x)`` for every ``u`` in ``(0, 1]``, with no
     floating-point exceptions.
     """
-    u = float(u)
+    if isinstance(u, bool) or not isinstance(u, numbers.Real):
+        raise DomainError(f"quantile level must be a real number, got {u!r}")
+    try:
+        u = float(u)
+    except OverflowError:
+        raise DomainError("quantile level lies beyond the float range") from None
     if math.isnan(u) or u < 0.0 or u > 1.0:
         raise DomainError(f"quantile level {u!r} outside [0, 1]")
     if u == 0.0:

@@ -8,10 +8,13 @@ loop against a given tensor, as the CLI's ``decompose`` ran it.
 ``decompose`` and ``_minimal_compatible_order`` are as they were before one
 loop per axis snapped and binned the CDF images under one boundary rule: a
 snapping loop, a binning loop, and a third copy of the snap test in the hint.
-The library must agree with them bit for bit.
+The one later edit is in an error branch: ``cdf_eval_copula`` refuses an
+argument that is not a real number, or lies beyond the float range, with the
+library's ``DomainError``.  The library must agree with them bit for bit.
 """
 
 import math
+import numbers
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,7 +56,12 @@ def cdf_eval_copula(c: CheckerboardCopula, u: Sequence[float]) -> float:
     bounds = np.arange(n + 1) / n
     val = c.mass
     for uj in u:
-        uj = float(uj)
+        if isinstance(uj, bool) or not isinstance(uj, numbers.Real):
+            raise DomainError(f"copula CDF argument must be a real number, got {uj!r}")
+        try:
+            uj = float(uj)
+        except OverflowError:
+            raise DomainError("copula CDF argument lies beyond the float range") from None
         if math.isnan(uj) or uj < 0.0 or uj > 1.0:
             raise DomainError(f"copula CDF argument {uj!r} outside [0, 1]")
         w = np.zeros(n)
