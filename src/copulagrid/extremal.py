@@ -13,7 +13,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,13 +25,16 @@ from .errors import (
     InternalError,
     ValidationError,
 )
-from .measures import _real_number
+from .measures import MASS_TOL, _canonical_only, _real_number
 
 #: row/column sums of the n-scaled mass may deviate from one by this much
 DOUBLY_STOCHASTIC_TOL = 1e-10
 
 #: entries at or below this are rounding debris, never pivoted on or matched
 _DUST = 1e-13
+
+#: permutations per block in maximize_convex; 720 order-8 masses take 369 KB
+_CHUNK = 720
 
 
 def permutation_copula(perm: Sequence[int], labels: Iterable = (0, 1)) -> CheckerboardCopula:
@@ -45,10 +48,36 @@ def permutation_copula(perm: Sequence[int], labels: Iterable = (0, 1)) -> Checke
         sorted(perm) != list(range(n))
     ):
         raise DomainError(f"{perm!r} is not a permutation of 0..{n - 1}")
-    mass = np.zeros((n, n))
-    for i, j in enumerate(perm):
-        mass[i, j] = 1.0 / n
-    return CheckerboardCopula(labels, n, mass)
+    return next(_permutation_copulas([perm], n, labels))
+
+
+def _permutation_copulas(perms: list, n: int, labels: tuple = (0, 1)) -> Iterator:
+    """The permutation copulas of ``perms``, read-only views of one checked block.
+
+    One indexed store puts ``1/n`` on the cells ``(k, i, perms[k][i])`` of a
+    zeroed ``(len(perms), n, n)`` block.  The block then passes, once, every
+    check the constructor makes: canonical labels, a whole order >= 1, no
+    negative or NaN entry, and each copula's total finite and within
+    :data:`~copulagrid.measures.MASS_TOL` of one.  ``perms`` must hold
+    permutations of ``0..n-1``.  The copulas are made one at a time as the
+    iterator is read, so only those a caller keeps stay alive.
+    """
+    labels = _canonical_only(labels)
+    n = _checked_order(n)
+    rows = len(perms) * n
+    cols = np.fromiter(itertools.chain.from_iterable(perms), dtype=np.intp, count=rows)
+    block = np.zeros((len(perms), n, n))
+    block.reshape(rows, n)[np.arange(rows), cols] = 1.0 / n
+    # NaN and negative entries fail the minimum; past it, a total is NaN-free,
+    # and an infinite one fails the tolerance
+    if not block.min() >= 0.0:
+        raise ValidationError("masses must be finite and nonnegative")
+    totals = block.sum(axis=(1, 2))
+    worst = totals.item(int(np.abs(totals - 1.0).argmax()))
+    if abs(worst - 1.0) > MASS_TOL:
+        raise ValidationError(f"total mass is {worst!r}, expected 1")
+    block.setflags(write=False)
+    return (CheckerboardCopula._of(labels, mass, n) for mass in block)
 
 
 def _perfect_matching(support: np.ndarray, forced: tuple = (-1, -1)):
@@ -165,9 +194,13 @@ def maximize_convex(
 ) -> ConvexSearchResult:
     """Maximize a declared-convex functional over order-``n`` copulas.
 
-    Enumerates all ``n!`` permutation copulas exhaustively (ties resolved
-    toward the lexicographically smallest permutation) and evaluates the
-    functional on randomly sampled interior copulas.  Convexity is taken on
+    Enumerates all ``n!`` permutation copulas exhaustively, in lexicographic
+    order (ties resolved toward the lexicographically smallest permutation),
+    and evaluates the functional on randomly sampled interior copulas.  The
+    permutations are taken in chunks of at most ``720``; each chunk's masses
+    fill one block, checked once with every check the constructor makes, and
+    each copula handed to the functional holds a read-only view of its block,
+    so a functional may keep the copulas it is given.  Convexity is taken on
     trust; midpoint convexity is spot-checked on sampled pairs and violations
     trigger a warning, since for a genuinely convex functional the interior
     values can never exceed the extremal maximum.  Copulas are over labels
@@ -185,10 +218,13 @@ def maximize_convex(
         )
     best_val = None
     best_perm = None
-    for perm in itertools.permutations(range(n)):
-        val = _value(functional, permutation_copula(perm), perm)
-        if best_val is None or val > best_val:
-            best_val, best_perm = val, perm
+    perms = itertools.permutations(range(n))
+    while chunk := list(itertools.islice(perms, _CHUNK)):
+        # the comprehension lets go of the block before the next one is filled
+        values = [_value(functional, c, p) for p, c in zip(chunk, _permutation_copulas(chunk, n))]
+        for perm, val in zip(chunk, values):
+            if best_val is None or val > best_val:
+                best_val, best_perm = val, perm
     rng = np.random.default_rng(seed)
     interior = [random_copula((0, 1), n, rng) for _ in range(samples)]
     interior_best = -math.inf

@@ -110,11 +110,22 @@ class _Immutable:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # every slot of the hierarchy, base classes first: the order of _of's values
+        cls._slot_names = tuple(
+            name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ())
+        )
+
     @classmethod
     def _of(cls, *values):
-        """An instance holding ``values`` in slot order, built without ``__init__``."""
+        """An instance holding ``values`` in slot order, built without ``__init__``.
+
+        Slots are ordered base classes first, so ``CheckerboardCopula._of``
+        takes ``labels``, ``mass`` and then ``order``.
+        """
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
+        for name, value in zip(cls._slot_names, values):
             object.__setattr__(self, name, value)
         return self
 

@@ -132,7 +132,15 @@ def family_member(f: ProjectiveFamily, labels: Iterable):
     that asks, directly or through other subsets, for the subset it is
     computing raises :class:`EvaluationError` naming the cycle.
     """
-    subset = f.universe.validate_subset(labels)
+    return _member(f, f.universe.validate_subset(labels))
+
+
+def _member(f: ProjectiveFamily, subset: tuple):
+    """:func:`family_member` at a subset that ``f.universe.validate_subset`` returned.
+
+    The cache is read only with a validated subset: ``(True,)`` equals and
+    hashes like ``(1,)``, so an unvalidated key could find a member.
+    """
     value = f._cache.get(subset)
     if value is not None:
         return value

@@ -48,7 +48,7 @@ from .measures import (
     cdf_eval,
     marginalize_tensor,
 )
-from .projective import COPULA, IndexUniverse, ProjectiveFamily, family_member
+from .projective import COPULA, IndexUniverse, ProjectiveFamily, _member, family_member
 
 
 def _marginal_for(marginals: Mapping, label) -> Marginal:
@@ -103,7 +103,7 @@ def joint_cdf(jm: JointMeasure, labels: Iterable, point: Sequence[float]) -> flo
         )
     coords = dict(zip(given, point))
     u = [cdf_eval(jm.marginal(lab), coords[lab]) for lab in subset]
-    return cdf_eval_copula(family_member(jm.family, subset), u)
+    return cdf_eval_copula(_member(jm.family, subset), u)
 
 
 def _axis_transfer(m: Marginal, order: int, grid):
@@ -150,7 +150,7 @@ def discretize_joint(
     with :func:`joint_cdf` at every grid node.
     """
     subset = jm.family.universe.validate_subset(labels)
-    member = family_member(jm.family, subset)
+    member = _member(jm.family, subset)
     target_grid = []
     mass = member.mass
     for lab in subset:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from copulagrid import (
     CheckerboardCopula,
     CompatibilityError,
     ConfigurationError,
+    IndexUniverse,
     Marginal,
     POS_INF,
     UnsupportedError,
@@ -17,6 +19,8 @@ from copulagrid import (
     decompose,
     discretize_joint,
     family_from_copula,
+    family_member,
+    independence_family,
     joint_cdf,
     make_comonotone,
     make_independence,
@@ -100,6 +104,53 @@ class TestJointCdf:
         jm = compose(f, {0: uniform01(), 1: uniform01()})
         assert joint_cdf(jm, (0, 1), (0.3, 0.6)) == pytest.approx(0.3, abs=1e-12)
 
+    # a subset the universe refuses -> the start of the refusal message
+    SUBSET_REFUSALS = {
+        (True,): "label True outside the index universe",
+        (1, True): "duplicate labels in [1, True]",
+        (0, "a"): "labels are not mutually orderable: [0, 'a']",
+        (2, 2): "duplicate labels in [2, 2]",
+        (-1,): "label -1 outside the index universe",
+        ("a",): "label 'a' outside the index universe",
+        (False, 1): "label False outside the index universe",
+    }
+
+    @pytest.mark.parametrize("labels", list(SUBSET_REFUSALS), ids=repr)
+    def test_refusals_survive_a_warm_cache(self, labels):
+        f = independence_family(IndexUniverse.countable(), 2)
+        jm = compose(f, {k: coin() for k in range(3)})
+        # (True,) == (1,) and (False,) == (0,), and they hash alike
+        for warm in ((0,), (1,), (0, 1)):
+            joint_cdf(jm, warm, (0.0,) * len(warm))
+            family_member(f, warm)
+        message = "^" + re.escape(self.SUBSET_REFUSALS[labels])
+        with pytest.raises(CompatibilityError, match=message):
+            joint_cdf(jm, labels, (0.0,) * len(labels))
+        with pytest.raises(CompatibilityError, match=message):
+            # a subset refusal comes before a point of the wrong length
+            joint_cdf(jm, labels, (0.0,) * (len(labels) + 1))
+        with pytest.raises(CompatibilityError, match=message):
+            family_member(f, labels)
+        assert sorted(f._cache) == [(0,), (0, 1), (1,)]
+        assert not any(type(lab) is not int for key in f._cache for lab in key)
+
+    def test_foreign_label_of_a_finite_universe_refused(self):
+        f = family_from_copula(make_independence((0, 1), 2))
+        jm = compose(f, {0: coin(), 1: coin()})
+        joint_cdf(jm, (0, 1), (0.0, 0.0))
+        for labels in ((2,), (0, 2), (1.5,)):
+            with pytest.raises(CompatibilityError, match="outside the index universe"):
+                joint_cdf(jm, labels, (0.0,) * len(labels))
+            with pytest.raises(CompatibilityError, match="outside the index universe"):
+                family_member(f, labels)
+
+    def test_unsorted_labels_read_coordinates_in_their_given_order(self):
+        f = family_from_copula(make_comonotone((0, 1), 4))
+        jm = compose(f, {0: uniform01(), 1: coin()})
+        assert joint_cdf(jm, (1, 0), (0.0, 0.3)) == joint_cdf(jm, (0, 1), (0.3, 0.0))
+        assert family_member(f, (1, 0)) is family_member(f, (0, 1))
+        with pytest.raises(CompatibilityError, match="point has 3 coordinates"):
+            joint_cdf(jm, (1, 0), (0.0, 0.3, 0.5))
 
 class TestDiscretize:
     def test_independence_with_coins(self):
