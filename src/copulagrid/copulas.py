@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CompatibilityError, DomainError, InternalError, ValidationError
-from .measures import GridMeasure, TensorMeasure, _as_float, _canonical_only, canonical_labels
-from .measures import checked_mass, sum_out
+from .measures import GridMeasure, TensorMeasure, _as_float, _canonical_only, _frozen
+from .measures import canonical_labels, checked_mass, sum_out
 
 #: margin deviation accepted by validate_copula
 MARGIN_TOL = 1e-12
@@ -42,9 +42,7 @@ class CheckerboardCopula(GridMeasure):
     def __init__(self, labels, order: int, mass):
         labels = _canonical_only(labels)
         order = _checked_order(order)
-        object.__setattr__(self, "mass", checked_mass(mass, (order,) * len(labels)))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "order", order)
+        self._fill(labels, checked_mass(mass, (order,) * len(labels)), order)
 
     @property
     def grid(self) -> tuple:
@@ -161,10 +159,8 @@ def marginalize_copula(c: CheckerboardCopula, labels: Iterable) -> CheckerboardC
 
 @functools.lru_cache(maxsize=64)
 def _bounds(n: int) -> np.ndarray:
-    """Read-only cell boundaries ``k/n``, ``k = 0, ..., n``, of order ``n``."""
-    bounds = np.arange(n + 1) / n
-    bounds.setflags(write=False)
-    return bounds
+    """Frozen cell boundaries ``k/n``, ``k = 0, ..., n``, of order ``n``."""
+    return _frozen(np.arange(n + 1) / n)
 
 
 def _cell_weights(n: int, u_j) -> np.ndarray:

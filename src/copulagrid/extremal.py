@@ -25,7 +25,7 @@ from .errors import (
     InternalError,
     ValidationError,
 )
-from .measures import MASS_TOL, _canonical_only, _real_number
+from .measures import _canonical_only, _frozen_mass, _real_number
 
 #: row/column sums of the n-scaled mass may deviate from one by this much
 DOUBLY_STOCHASTIC_TOL = 1e-10
@@ -56,11 +56,11 @@ def _permutation_copulas(perms: list, n: int, labels: tuple = (0, 1)) -> Iterato
 
     One indexed store puts ``1/n`` on the cells ``(k, i, perms[k][i])`` of a
     zeroed ``(len(perms), n, n)`` block.  The block then passes, once, every
-    check the constructor makes: canonical labels, a whole order >= 1, no
-    negative or NaN entry, and each copula's total finite and within
-    :data:`~copulagrid.measures.MASS_TOL` of one.  ``perms`` must hold
-    permutations of ``0..n-1``.  The copulas are made one at a time as the
-    iterator is read, so only those a caller keeps stay alive.
+    check the constructor makes: canonical labels, a whole order >= 1, and
+    the mass check of :func:`~copulagrid.measures.checked_mass`, with one
+    total per copula.  ``perms`` must hold permutations of ``0..n-1``.  The
+    copulas are made one at a time as the iterator is read, so only those a
+    caller keeps stay alive.
     """
     labels = _canonical_only(labels)
     n = _checked_order(n)
@@ -68,16 +68,7 @@ def _permutation_copulas(perms: list, n: int, labels: tuple = (0, 1)) -> Iterato
     cols = np.fromiter(itertools.chain.from_iterable(perms), dtype=np.intp, count=rows)
     block = np.zeros((len(perms), n, n))
     block.reshape(rows, n)[np.arange(rows), cols] = 1.0 / n
-    # NaN and negative entries fail the minimum; past it, a total is NaN-free,
-    # and an infinite one fails the tolerance
-    if not block.min() >= 0.0:
-        raise ValidationError("masses must be finite and nonnegative")
-    totals = block.sum(axis=(1, 2))
-    worst = totals.item(int(np.abs(totals - 1.0).argmax()))
-    if abs(worst - 1.0) > MASS_TOL:
-        raise ValidationError(f"total mass is {worst!r}, expected 1")
-    block.setflags(write=False)
-    return (CheckerboardCopula._of(labels, mass, n) for mass in block)
+    return (CheckerboardCopula._of(labels, mass, n) for mass in _frozen_mass(block, (1, 2)))
 
 
 def _perfect_matching(support: np.ndarray, forced: tuple = (-1, -1)):

@@ -45,14 +45,19 @@ def _as_float(x, what: str) -> float:
         raise DomainError(f"{what} lies beyond the float range") from None
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Read-only copy of ``arr`` over ``bytes``: neither it nor a view's ``.base`` can reopen."""
+    return np.ndarray(arr.shape, arr.dtype, arr.tobytes())
+
+
 def _checked_axis(values, what: str, error=ValidationError) -> np.ndarray:
-    """Read-only 1-d float copy of ``values``: nonempty, free of NaN, strictly increasing.
+    """:func:`_frozen` 1-d float copy of ``values``: nonempty, free of NaN, strictly increasing.
 
     ``a[1:] > a[:-1]`` is ``np.diff(a) > 0`` without floating-point warnings; it
     is false at NaN, so repeated infinities fail it too.
     """
     try:
-        arr = np.array(values, dtype=float)
+        arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise error(f"{what} is not a float array: {exc}") from None
     if arr.ndim != 1 or arr.size < 1:
@@ -61,8 +66,7 @@ def _checked_axis(values, what: str, error=ValidationError) -> np.ndarray:
         raise error(f"{what} must not be NaN")
     if not (arr[1:] > arr[:-1]).all():
         raise error(f"{what} must be strictly increasing")
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr)
 
 
 def _unzipped(pairs, what: str) -> tuple:
@@ -100,12 +104,19 @@ def _canonical_only(labels) -> tuple:
     raise ValidationError(f"labels must be strictly increasing, got {labels!r}")
 
 
+def _refrozen(value):
+    """``value``, each array in it or in a tuple of it replaced by its :func:`_frozen` copy."""
+    if isinstance(value, tuple):
+        return tuple(map(_refrozen, value))
+    return _frozen(value) if isinstance(value, np.ndarray) else value
+
+
 class _Immutable:
-    """Refuses attribute assignment and deletion; ``__init__`` uses ``object.__setattr__``.
+    """Refuses attribute assignment and deletion; :meth:`_fill` is the one slot writer.
 
     ``copy`` and ``pickle`` hand the slots over as ``(None, {slot: value})``;
-    ``__setstate__`` restores them and refreezes their arrays.  Types built only
-    by factories refuse ``__init__``; their factories go through :meth:`_of`.
+    ``__setstate__`` refills them, with :func:`_frozen` copies of their arrays.
+    Types built only by factories refuse ``__init__``; their factories go through :meth:`_of`.
     """
 
     __slots__ = ()
@@ -125,16 +136,16 @@ class _Immutable:
         takes ``labels``, ``mass`` and then ``order``.
         """
         self = object.__new__(cls)
-        for name, value in zip(cls._slot_names, values):
-            object.__setattr__(self, name, value)
+        self._fill(*values)
         return self
 
-    def __setstate__(self, state):
-        for name, value in state[1].items():
-            for arr in value if isinstance(value, tuple) else (value,):
-                if isinstance(arr, np.ndarray):
-                    arr.setflags(write=False)
+    def _fill(self, *values):
+        """Write ``values`` into the slots, in the slot order of :meth:`_of`."""
+        for name, value in zip(self._slot_names, values):
             object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        self._fill(*(_refrozen(state[1][name]) for name in self._slot_names))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -174,8 +185,7 @@ class Marginal(_Immutable):
         # makes quantile/cdf an exact adjoint pair in float arithmetic.
         fs = np.minimum(np.cumsum(ws), 1.0)
         fs[-1] = 1.0
-        fs.setflags(write=False)
-        return cls._of(ATOMIC, xs, ws, fs)
+        return cls._of(ATOMIC, xs, ws, _frozen(fs))
 
     @classmethod
     def continuous(cls, knots: Sequence[tuple]) -> "Marginal":
@@ -279,23 +289,31 @@ def _smallest_reaching(m: Marginal, u: float, lo: float, y: float, hi: float) ->
 
 
 def checked_mass(mass, shape: tuple) -> np.ndarray:
-    """Read-only copy of ``mass``, checked for shape, sign, finiteness and total one."""
+    """:func:`_frozen` copy of ``mass``, checked for shape, sign, finiteness and total one."""
     try:
         arr = np.asarray(mass, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"mass is not a float array: {exc}") from None
     if arr.shape != shape:
         raise ValidationError(f"mass shape {arr.shape} does not match {shape}")
-    # NaN, -inf and negative entries fail the minimum, and a NaN total records
-    # that; past it, only +inf entries or an overflow make the total infinite
-    total = float(arr.sum()) if arr.min() >= 0.0 else math.nan
-    if math.isnan(total) or (math.isinf(total) and not np.isfinite(arr).all()):
+    return _frozen_mass(arr)
+
+
+def _frozen_mass(arr: np.ndarray, axes=None) -> np.ndarray:
+    """:func:`_frozen` copy of ``arr``, refused unless its entries are finite and nonnegative
+    and each total over ``axes`` (all axes by default) is within :data:`MASS_TOL` of one.
+    """
+    # NaN, -inf and negative entries fail the minimum; past it (summing first warns
+    # at inf - inf), no total is NaN and only +inf entries or an overflow make one infinite
+    if not arr.min() >= 0.0:
         raise ValidationError("masses must be finite and nonnegative")
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValidationError(f"total mass is {total!r}, expected 1")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    totals = arr.sum(axis=axes)
+    worst = totals.item(abs(totals - 1.0).argmax())
+    if math.isinf(worst) and not np.isfinite(arr).all():
+        raise ValidationError("masses must be finite and nonnegative")
+    if abs(worst - 1.0) > MASS_TOL:
+        raise ValidationError(f"total mass is {worst!r}, expected 1")
+    return _frozen(arr)
 
 
 class GridMeasure(_Immutable):
@@ -360,10 +378,8 @@ class TensorMeasure(GridMeasure):
         grid = tuple(grid)
         if len(grid) != len(labels):
             raise CompatibilityError("grid must provide one axis per label")
-        axes = [_checked_axis(pts, f"axis {lab!r} grid") for lab, pts in zip(labels, grid)]
-        object.__setattr__(self, "mass", checked_mass(mass, tuple(a.size for a in axes)))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "grid", tuple(axes))
+        axes = tuple(_checked_axis(pts, f"axis {lab!r} grid") for lab, pts in zip(labels, grid))
+        self._fill(labels, checked_mass(mass, tuple(a.size for a in axes)), axes)
 
     def __repr__(self):
         return f"TensorMeasure(labels={self.labels!r}, shape={self.mass.shape})"
@@ -384,7 +400,8 @@ def pushforward_tensor(t: TensorMeasure, maps: Mapping) -> TensorMeasure:
 
     ``maps`` assigns to each label a mapping defined on every grid point of
     that axis.  Mass of a node moves to the node of coordinatewise images;
-    coinciding images accumulate.  Total mass is preserved.
+    coinciding images accumulate.  Total mass is preserved.  A map value that
+    is not a real number within the float range raises :class:`DomainError`.
     """
     images = []
     for lab, axis in zip(t.labels, t.grid):
@@ -393,21 +410,18 @@ def pushforward_tensor(t: TensorMeasure, maps: Mapping) -> TensorMeasure:
         except (KeyError, TypeError, IndexError):
             raise DomainError(f"no map supplied for axis {lab!r}") from None
         img = []
-        for x in axis:
-            x = float(x)
+        for x in axis.tolist():
             try:
-                img.append(float(table[x]))
+                value = table[x]
             except (KeyError, TypeError, IndexError):
                 raise DomainError(f"map for axis {lab!r} missing grid point {x!r}") from None
+            img.append(_as_float(value, f"map for axis {lab!r} at {x!r}"))
         images.append(np.asarray(img))
-    new_grid = [np.unique(img) for img in images]
-    index_arrays = [
-        np.searchsorted(new_axis, img) for new_axis, img in zip(new_grid, images)
-    ]
+    new_grid, index_arrays = zip(*(np.unique(img, return_inverse=True) for img in images))
     out = np.zeros(tuple(a.size for a in new_grid))
     mesh = np.meshgrid(*index_arrays, indexing="ij")
     np.add.at(out, tuple(mesh), t.mass)
-    return TensorMeasure(t.labels, tuple(new_grid), out)
+    return TensorMeasure(t.labels, new_grid, out)
 
 
 def cdf_eval_tensor(t: TensorMeasure, point: Sequence[float]) -> float:

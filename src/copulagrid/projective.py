@@ -105,9 +105,7 @@ class ProjectiveFamily(_Immutable):
         if kind not in (COPULA, GENERAL):
             raise DomainError(f"unknown family kind {kind!r}")
         # _in_progress lists the subsets whose rules are running, outermost first
-        values = (universe, kind, rule, {}, threading.RLock(), [])
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        self._fill(universe, kind, rule, {}, threading.RLock(), [])
 
 
 def _check_member(f: ProjectiveFamily, subset: tuple, value):

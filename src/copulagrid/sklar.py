@@ -46,7 +46,7 @@ from .measures import (
     _checked_axis,
     _mass_below,
     cdf_eval,
-    marginalize_tensor,
+    sum_out,
 )
 from .projective import COPULA, IndexUniverse, ProjectiveFamily, _member, family_member
 
@@ -77,8 +77,7 @@ class JointMeasure(_Immutable):
         for lab, m in marginals.items():
             if not isinstance(m, Marginal):
                 raise ConfigurationError(f"marginal for {lab!r} is not a Marginal")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "marginals", marginals)
+        self._fill(family, marginals)
 
     def marginal(self, label) -> Marginal:
         return _marginal_for(self.marginals, label)
@@ -269,9 +268,10 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
 
     The order must be compatible with the CDF images of the grid points: mass
     cut by a cell boundary that no image level hits cannot produce uniform
-    margins, in which case the error names the smallest compatible order.
-    Where every boundary is hit and the margins still miss uniform by more
-    than the tolerance, the error says so instead.
+    margins.  The error then names as "smallest compatible order" the smallest
+    order whose interior boundaries the images all hit; its margins go
+    unchecked, so it can be refused itself.  Where every boundary is hit and
+    the margins still miss uniform by more than the tolerance, the error says so.
     """
     n = _checked_order(order)
     bounds = _bounds(n)
@@ -283,7 +283,7 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
                 f"marginal for {lab!r} is atomic; the copula of a joint with "
                 "atomic marginals is not unique, so no canonical decomposition exists"
             )
-        own_cdf = np.cumsum(marginalize_tensor(t, (lab,)).mass)
+        own_cdf = np.cumsum(sum_out(t, (lab,))[1])
         stated = np.asarray([cdf_eval(m, x) for x in axis])
         dev = float(np.max(np.abs(own_cdf - stated)))
         if dev > DECOMPOSE_CONSISTENCY_TOL:

@@ -38,6 +38,7 @@ from copulagrid.cli import main
 RAMP = Marginal.continuous([(0.0, 0.0), (1.0, 1.0)])
 TENSOR = TensorMeasure((0, 1), ([0.0, 1.0], [0.0, 1.0]), [[0.25, 0.25], [0.25, 0.25]])
 FAMILY = independence_family(IndexUniverse.finite((0, 1)), 2)
+IDENTITY = {0.0: 0.0, 1.0: 1.0}
 
 
 def interior_nan(c):
@@ -65,6 +66,21 @@ CASES = {
         lambda: pushforward_tensor(TENSOR, {0: {0.0: 0.0, 1.0: 1.0}}),
         DomainError,
         "no map supplied for axis 1",
+    ),
+    "pushforward through a map value that is a string": (
+        lambda: pushforward_tensor(TENSOR, {0: {0.0: "abc", 1.0: 1.0}, 1: IDENTITY}),
+        DomainError,
+        "map for axis 0 at 0.0 must be a real number, got 'abc'",
+    ),
+    "pushforward through a map value beyond the float range": (
+        lambda: pushforward_tensor(TENSOR, {0: IDENTITY, 1: {0.0: 0.0, 1.0: 10**400}}),
+        DomainError,
+        "map for axis 1 at 1.0 lies beyond the float range",
+    ),
+    "pushforward through a map value that is a bool": (
+        lambda: pushforward_tensor(TENSOR, {0: {0.0: 0.0, 1.0: True}, 1: IDENTITY}),
+        DomainError,
+        "map for axis 0 at 1.0 must be a real number, got True",
     ),
     "atomization of a continuous law": (
         lambda: atomize(RAMP, 0),
