@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CompatibilityError, DomainError, InternalError, ValidationError
-from .measures import GridMeasure, TensorMeasure, _as_float, _canonical_only, _frozen
+from .measures import GridMeasure, TensorMeasure, _as_float, _canonical_only, _frozen, _frozen_mass
 from .measures import canonical_labels, checked_mass, sum_out
 
 #: margin deviation accepted by validate_copula
@@ -225,6 +225,12 @@ def _margin(arr: np.ndarray, axis: int) -> np.ndarray:
     return arr.sum(axis=others) if others else arr
 
 
+def _hypercubic(shape: tuple) -> None:
+    """Refuse a tensor shape unless it has at least one axis and all axes are equally long."""
+    if not shape or len(set(shape)) != 1:
+        raise ValidationError(f"tensor must be hypercubic, got shape {shape}")
+
+
 def fit_uniform_margins(mass) -> np.ndarray:
     """Rescale axis slices until every margin is uniform (proportional fitting).
 
@@ -234,36 +240,78 @@ def fit_uniform_margins(mass) -> np.ndarray:
     tolerance.
     """
     arr = np.array(mass, dtype=float)
-    if arr.ndim < 1 or len(set(arr.shape)) != 1:
-        raise ValidationError(f"tensor must be hypercubic, got shape {arr.shape}")
+    _hypercubic(arr.shape)
     if np.any(arr < 0) or np.any(~np.isfinite(arr)):
         raise ValidationError("tensor entries must be finite and nonnegative")
     if arr.sum() <= 0:
         raise ValidationError("tensor must carry positive mass")
-    n = arr.shape[0]
+    return _fit_stack(arr[np.newaxis])[0]
+
+
+def _fit_stack(stack: np.ndarray) -> np.ndarray:
+    """Fit uniform margins to every slice of a ``(k,) + (n,) * d`` stack, in place.
+
+    Each slice is fitted exactly as it would be alone, so bit for bit: per
+    sweep, each axis in turn is scaled by ``1/n`` over its margin (the slice
+    masses summed over the other axes), and the slice leaves the stack at the
+    sweep where the largest deviation of its margins from ``1/n`` is at most
+    ``_FIT_MAX_DEV``.  A margin with a NaN entry counts as no deviation, as
+    Python's ``max`` counts it.  Slices still in the stack after
+    ``_FIT_MAX_ITER`` sweeps are accepted within ``MARGIN_TOL / 10``.  The
+    stack raises the first error any of its slices meets.
+    """
+    dims = range(1, stack.ndim)
+    n = stack.shape[-1]
     target = 1.0 / n
+    # per axis: the axes its margin sums over, and the shape its scale factors broadcast in
+    sums = [tuple(i for i in dims if i != axis) for axis in dims]
+    shapes = [(-1,) + tuple(n if i == axis else 1 for i in dims) for axis in dims]
+    arr, rows = stack, np.arange(len(stack))
     for _ in range(_FIT_MAX_ITER):
-        worst = 0.0
-        for axis in range(arr.ndim):
-            margin = _margin(arr, axis)
-            if np.any(margin <= 0):
+        if not len(rows):
+            return stack
+        for axes, shape in zip(sums, shapes):
+            margin = arr.sum(axis=axes) if axes else arr
+            if (margin <= 0).any():
                 raise ValidationError("a zero margin slice cannot be rescaled")
-            shape = [1] * arr.ndim
-            shape[axis] = n
-            arr = arr * (target / margin).reshape(shape)
-        for axis in range(arr.ndim):
-            margin = _margin(arr, axis)
-            worst = max(worst, float(np.max(np.abs(margin - target))))
-        if worst <= _FIT_MAX_DEV:
-            return arr
-    if worst <= MARGIN_TOL / 10:
-        return arr
-    raise InternalError(f"margin fitting stalled at deviation {worst!r}")
+            arr *= (target / margin).reshape(shape)
+        devs = [abs((arr.sum(axis=axes) if axes else arr) - target).max(axis=-1) for axes in sums]
+        worst = np.fmax.reduce(devs, initial=0.0)
+        unfit = worst > _FIT_MAX_DEV
+        if not unfit.all():
+            done = ~unfit
+            stack[rows[done]] = arr[done]
+            arr, rows, worst = arr[unfit], rows[unfit], worst[unfit]
+    stalled = worst > MARGIN_TOL / 10
+    if stalled.any():
+        raise InternalError(f"margin fitting stalled at deviation {worst[stalled][0].item()!r}")
+    stack[rows] = arr
+    return stack
 
 
 def random_copula(labels: Iterable, order: int, rng: np.random.Generator) -> CheckerboardCopula:
     """Draw a generic copula by fitting uniform margins to a positive tensor; labels are sorted."""
+    return _random_copulas(labels, order, rng, 1)[0]
+
+
+def _random_copulas(labels: Iterable, order: int, rng: np.random.Generator, count: int) -> list:
+    """``count`` draws of :func:`random_copula`, read-only views of one checked block.
+
+    One ``rng.uniform`` call fills a ``(count,) + (n,) * d`` stack, which
+    leaves ``rng`` as ``count`` single draws would.  The stack is fitted in
+    one pass of :func:`_fit_stack`, each slice bit for bit as alone; the
+    block then passes the mass check once, with one total per copula.
+    Labels are sorted after the draw, so a bad label still uses it up.
+    """
     labels = tuple(labels)
-    n, d = _checked_order(order), len(labels)
-    mass = fit_uniform_margins(rng.uniform(0.5, 1.5, size=(n,) * d))
-    return CheckerboardCopula(canonical_labels(labels), n, mass)
+    n = _checked_order(order)
+    block = rng.uniform(0.5, 1.5, size=(count,) + (n,) * len(labels))
+    _hypercubic(block.shape[1:])  # no labels: refused as fit_uniform_margins refuses a 0-d tensor
+    if not count:
+        return []
+    block = _fit_stack(block)
+    labels = canonical_labels(labels)
+    return [
+        CheckerboardCopula._of(labels, mass, n)
+        for mass in _frozen_mass(block, tuple(range(1, block.ndim)))
+    ]

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, _checked_order, _whole_number, random_copula
+from .copulas import CheckerboardCopula, _checked_order, _random_copulas, _whole_number
 from .errors import (
     CompatibilityError,
     DomainError,
@@ -71,21 +71,33 @@ def _permutation_copulas(perms: list, n: int, labels: tuple = (0, 1)) -> Iterato
     return (CheckerboardCopula._of(labels, mass, n) for mass in _frozen_mass(block, (1, 2)))
 
 
-def _perfect_matching(support: np.ndarray, forced: tuple = (-1, -1)):
-    """Perfect matching of the support, containing the edge ``forced`` if given.
-
-    Kuhn's augmenting-path search, visiting rows and columns in increasing
-    index order so the result is deterministic.  The support is read once,
-    by one ``np.nonzero``, into per-row lists of its columns in increasing
-    order; the search walks those lists instead of testing every cell, and
-    visits the same columns in the same order.  Returns ``None`` when no
-    perfect matching exists.
-    """
-    n = support.shape[0]
-    adj = [[] for _ in range(n)]  # row -> support columns, increasing
+def _support_rows(support: np.ndarray) -> list:
+    """Per-row lists of the support's columns, in increasing order, read by one ``np.nonzero``."""
+    adj = [[] for _ in range(support.shape[0])]
     rows, cols = np.nonzero(support)
     for row, col in zip(rows.tolist(), cols.tolist()):
         adj[row].append(col)
+    return adj
+
+
+def _perfect_matching(support: np.ndarray, forced: tuple = (-1, -1)):
+    """Perfect matching of the support, containing the edge ``forced`` if given.
+
+    See :func:`_kuhn`; the support is read once by :func:`_support_rows`.
+    """
+    return _kuhn(_support_rows(support), forced)
+
+
+def _kuhn(adj: list, forced: tuple = (-1, -1)):
+    """Perfect matching of the support whose row ``i`` has the columns ``adj[i]``.
+
+    Kuhn's augmenting-path search, visiting rows and columns in increasing
+    index order so the result is deterministic: it walks each row's list of
+    support columns instead of testing every cell.  The edge ``forced`` is
+    in the matching if given.  Returns ``None`` when no perfect matching
+    exists.
+    """
+    n = len(adj)
     match_col = [-1] * n  # column -> row
     i0, j0 = forced
     if j0 >= 0:
@@ -100,10 +112,11 @@ def _perfect_matching(support: np.ndarray, forced: tuple = (-1, -1)):
                     return True
         return False
 
+    unseen = [col == j0 for col in range(n)]
     for row in range(n):
         if row == i0:
             continue
-        if not augment(row, [col == j0 for col in range(n)]):
+        if not augment(row, unseen.copy()):
             return None
     perm = [-1] * n
     for col, row in enumerate(match_col):
@@ -118,7 +131,9 @@ def birkhoff_decompose(c: CheckerboardCopula):
     smallest positive entry and subtracts it, so each round removes at least
     that entry from the support; at most ``n**2 - 2*n + 2`` terms are
     produced.  Returns ``(weight, permutation)`` pairs with nonnegative
-    weights summing to one.
+    weights summing to one.  Cells only ever leave the support, so its mask
+    and per-row column lists are built once and lose, after each round, the
+    cells of the subtracted permutation that fell to ``_DUST`` or below.
     """
     if c.ndim != 2:
         raise CompatibilityError("decomposition applies to two-dimensional copulas")
@@ -128,26 +143,30 @@ def birkhoff_decompose(c: CheckerboardCopula):
     if dev > DOUBLY_STOCHASTIC_TOL:
         raise ValidationError(f"n * mass is not doubly stochastic (deviation {dev!r})")
     work = c.mass.copy()
+    support = work > _DUST
+    adj = _support_rows(support)
+    rows = np.arange(n)
     terms = []
     max_terms = n * n - 2 * n + 2
-    while True:
-        support = work > _DUST
-        if float(work[support].sum()) <= 1e-12:
-            break
+    while float(work[support].sum()) > 1e-12:
         if len(terms) >= max_terms:
             raise InternalError("decomposition exceeded its term budget")
         flat = np.where(support.ravel(), work.ravel(), np.inf)
         i0, j0 = divmod(int(np.argmin(flat)), n)
-        perm = _perfect_matching(support, (i0, j0))
+        perm = _kuhn(adj, (i0, j0))
         if perm is None:
             # near-degenerate ties can make the smallest entry unmatchable;
             # any permutation of the support still zeroes its own minimum
-            perm = _perfect_matching(support)
+            perm = _kuhn(adj)
         if perm is None:
             raise InternalError("no permutation found in a doubly stochastic support")
-        theta = min(float(work[i, perm[i]]) for i in range(n))
-        for i in range(n):
-            work[i, perm[i]] -= theta
+        cells = work[rows, perm]
+        theta = float(cells.min())
+        cells -= theta
+        work[rows, perm] = cells
+        for i in np.flatnonzero(cells <= _DUST).tolist():
+            support[i, perm[i]] = False
+            adj[i].remove(perm[i])
         terms.append((theta * n, tuple(perm)))
     total = sum(w for w, _ in terms)
     return tuple((w / total, perm) for w, perm in terms)
@@ -217,7 +236,7 @@ def maximize_convex(
             if best_val is None or val > best_val:
                 best_val, best_perm = val, perm
     rng = np.random.default_rng(seed)
-    interior = [random_copula((0, 1), n, rng) for _ in range(samples)]
+    interior = _random_copulas((0, 1), n, rng, samples)
     interior_best = -math.inf
     values = []
     for c in interior:

@@ -388,11 +388,12 @@ class TensorMeasure(GridMeasure):
 def marginalize_tensor(t: TensorMeasure, labels: Iterable) -> TensorMeasure:
     """Project onto the axes in ``labels`` by summing out everything else.
 
-    Axes are dropped in the order of :func:`sum_out`.
+    Axes are dropped in the order of :func:`sum_out`.  The canonical labels
+    and the frozen grid axes are those of ``t``, so only the mass is checked.
     """
     target, mass = sum_out(t, labels)
     grid = tuple(t.grid[t.labels.index(lab)] for lab in target)
-    return TensorMeasure(target, grid, mass)
+    return TensorMeasure._of(target, _frozen_mass(mass), grid)
 
 
 def pushforward_tensor(t: TensorMeasure, maps: Mapping) -> TensorMeasure:

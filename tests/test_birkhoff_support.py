@@ -1,0 +1,138 @@
+"""Birkhoff rounds that keep their support: the same terms as rebuilding it every round.
+
+``birkhoff_decompose`` builds the support mask and its per-row column lists
+once and drops, after each subtraction, the cells of the permutation that
+fell to ``_DUST`` or below.  These cases make several cells leave in one
+round, cells sit just above ``_DUST``, and minima tie; the terms must equal
+``reference_extremal.birkhoff_decompose``, which recomputes ``work > _DUST``
+every round, bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from copulagrid import CheckerboardCopula, CopulaGridError, birkhoff_decompose, make_independence
+from copulagrid.extremal import _DUST
+from reference_extremal import _perfect_matching as reference_matching
+from reference_extremal import birkhoff_decompose as reference_decompose
+
+
+def mixture(order, weights, perms):
+    """The copula ``sum_k weights[k] * P(perms[k]) / order``."""
+    mass = np.zeros((order, order))
+    for w, perm in zip(weights, perms):
+        mass[np.arange(order), perm] += w / order
+    return CheckerboardCopula((0, 1), order, mass)
+
+
+def dusty(order, rng, ties):
+    """A mixture with permutations of cell mass just above ``_DUST``, and offsets below it.
+
+    The light permutations share cells with each other and with the heavy ones,
+    so after a light one is subtracted, cells of ``theta + delta`` with
+    ``0 < delta <= _DUST`` leave the support with the ``theta`` cell.  With
+    ``ties`` the weights come from a few values, so minima tie.  Layers below
+    ``_DUST`` keep their share of every margin while leaving no support, so a
+    few cases run out of permutations; those must refuse as the reference does.
+    """
+    k = int(rng.integers(2, 5))
+    light = order * _DUST * rng.choice([1.5, 2.0, 3.0], size=int(rng.integers(1, 4)))
+    light = np.concatenate((light, order * _DUST * rng.random(2) * 0.5))
+    heavy = rng.integers(1, 4, size=k).astype(float) if ties else rng.random(k) + 0.1
+    heavy *= (1.0 - light.sum()) / heavy.sum()
+    weights = np.concatenate((heavy, light))
+    base = rng.permutation(order)
+    perms = [rng.permutation(order) for _ in range(k)]
+    # the near-dust layers are small edits of one permutation, so they overlap
+    for _ in range(len(weights) - k):
+        perm = base.copy()
+        i, j = rng.integers(order, size=2)
+        perm[[i, j]] = perm[[j, i]]
+        perms.append(perm)
+    return mixture(order, weights, perms)
+
+
+def outcome(decompose, c):
+    """The terms as ``(weight.hex(), perm)`` pairs, or the type and message of the refusal."""
+    try:
+        return [(w.hex(), perm) for w, perm in decompose(c)]
+    except CopulaGridError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_terms(c):
+    got = outcome(birkhoff_decompose, c)
+    assert got == outcome(reference_decompose, c)
+    return got
+
+
+def rounds(c):
+    """Replay the reference's rounds: per round, the cells that leave the support."""
+    n = c.order
+    work = c.mass.copy()
+    left = []
+    while True:
+        support = work > _DUST
+        if float(work[support].sum()) <= 1e-12:
+            return left
+        flat = np.where(support.ravel(), work.ravel(), np.inf)
+        i0, j0 = divmod(int(np.argmin(flat)), n)
+        perm = reference_matching(support, (i0, j0)) or reference_matching(support)
+        if perm is None:
+            return left
+        theta = min(float(work[i, perm[i]]) for i in range(n))
+        before = [float(work[i, perm[i]]) for i in range(n)]
+        for i in range(n):
+            work[i, perm[i]] -= theta
+        left.append([b for i, b in enumerate(before) if work[i, perm[i]] <= _DUST])
+
+
+cases = st.tuples(st.integers(2, 12), st.booleans(), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cases)
+@example((12, True, 0))
+@example((12, False, 1))
+@example((2, True, 2))
+def test_dusty_mixtures_match_reference(case):
+    order, ties, seed = case
+    assert_same_terms(dusty(order, np.random.default_rng(seed), ties))
+
+
+def test_cells_just_above_dust_leave_with_the_theta_cell():
+    """The corpus reaches the case: a round drops a cell of ``theta + delta`` besides ``theta``."""
+    hits = 0
+    for seed in range(30):
+        c = dusty(8, np.random.default_rng(seed), ties=False)
+        assert_same_terms(c)
+        for gone in rounds(c):
+            if len(gone) >= 2 and max(gone) > min(gone) and min(gone) > _DUST:
+                hits += 1
+    assert hits >= 5
+
+
+@pytest.mark.parametrize("order", [3, 5, 9, 16])
+def test_tied_minima_match_reference(order):
+    rng = np.random.default_rng(order)
+    # equal weights on disjoint shifts: every support cell ties
+    shifts = [(np.arange(order) + s) % order for s in range(order)]
+    k = max(2, order // 2)
+    assert_same_terms(mixture(order, [1.0 / k] * k, shifts[:k]))
+    assert_same_terms(make_independence((0, 1), order))
+    # ties among equal weights on random, overlapping permutations
+    perms = [rng.permutation(order) for _ in range(4)]
+    got = assert_same_terms(mixture(order, [0.25] * 4, perms))
+    assert abs(sum(float.fromhex(w) for w, _ in got) - 1.0) < 1e-12
+
+
+def test_a_whole_permutation_leaves_in_one_round():
+    # theta is every cell of the light identity layer: all of them fall to zero together
+    order = 6
+    light = 2.5 * order * _DUST
+    c = mixture(order, [1.0 - light, light], [np.roll(np.arange(order), 1), np.arange(order)])
+    got = assert_same_terms(c)
+    assert len(rounds(c)[0]) == order
+    assert got[0][1] == tuple(range(order))
