@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,10 +55,10 @@ class CheckerboardCopula(GridMeasure):
 
 def _whole_number(value, name: str) -> int:
     """``value`` as an int; anything but a whole number (``"3"`` and ``3.0``
-    are, ``True``, ``2.9`` and ``nan`` are not) raises :class:`DomainError`."""
+    are, ``True``, ``np.True_``, ``2.9`` and ``nan`` are not) raises :class:`DomainError`."""
     try:
         n = int(value)
-        whole = n == float(value) and not isinstance(value, bool)
+        whole = n == float(value) and not isinstance(value, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
@@ -152,9 +152,10 @@ def marginalize_copula(c: CheckerboardCopula, labels: Iterable) -> CheckerboardC
     """Sum out the axes not in ``labels``; the result is again a copula.
 
     Axes are dropped in the order of :func:`~copulagrid.measures.sum_out`.
+    The labels, order and shape are those of ``c``, so only the mass is checked.
     """
     target, mass = sum_out(c, labels)
-    return CheckerboardCopula(target, c.order, mass)
+    return CheckerboardCopula._of(target, _frozen_mass(mass), c.order)
 
 
 @functools.lru_cache(maxsize=64)
@@ -182,22 +183,16 @@ def _cell_weights(n: int, u_j) -> np.ndarray:
     return w
 
 
-@functools.lru_cache(maxsize=None)
-def _first_axis_last(ndim: int) -> tuple:
-    """Transpose axes that move the first of ``ndim`` axes to the end."""
-    return tuple(range(1, ndim)) + (0,)
-
-
 def _contract(val: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Contract the first axis of ``val`` with the weights ``w``.
+    """Contract the first axis of ``val`` with the first axis of the vector or matrix ``w``.
 
     The same ``np.dot`` on the same operands as
     ``np.tensordot(val, w, axes=([0], [0]))``, so the same bits, without
     tensordot's bookkeeping.
     """
     n = w.shape[0]
-    at = val.transpose(_first_axis_last(val.ndim)).reshape(-1, n)
-    return np.dot(at, w.reshape(n, 1)).reshape(val.shape[1:])
+    at = val.transpose((*range(1, val.ndim), 0)).reshape(-1, n)
+    return np.dot(at, w.reshape(n, -1)).reshape(val.shape[1:] + w.shape[1:])
 
 
 def cdf_eval_copula(c: CheckerboardCopula, u: Sequence[float]) -> float:
@@ -299,9 +294,9 @@ def _random_copulas(labels: Iterable, order: int, rng: np.random.Generator, coun
 
     One ``rng.uniform`` call fills a ``(count,) + (n,) * d`` stack, which
     leaves ``rng`` as ``count`` single draws would.  The stack is fitted in
-    one pass of :func:`_fit_stack`, each slice bit for bit as alone; the
-    block then passes the mass check once, with one total per copula.
-    Labels are sorted after the draw, so a bad label still uses it up.
+    one pass of :func:`_fit_stack`, each slice bit for bit as alone, and
+    handed out by :func:`_views`.  Labels are sorted after the draw, so a
+    bad label still uses it up.
     """
     labels = tuple(labels)
     n = _checked_order(order)
@@ -310,8 +305,17 @@ def _random_copulas(labels: Iterable, order: int, rng: np.random.Generator, coun
     if not count:
         return []
     block = _fit_stack(block)
-    labels = canonical_labels(labels)
-    return [
-        CheckerboardCopula._of(labels, mass, n)
-        for mass in _frozen_mass(block, tuple(range(1, block.ndim)))
-    ]
+    return list(_views(canonical_labels(labels), n, block))
+
+
+def _views(labels, order, block: np.ndarray) -> Iterator:
+    """Copulas over ``labels`` of order ``order``, read-only views of the slices of ``block``.
+
+    The block passes every check the constructor makes once, with one mass
+    total per slice of the shape ``(order,) * len(labels)``.  The copulas are
+    made as the iterator is read, so only those a caller keeps stay alive.
+    """
+    labels = _canonical_only(labels)
+    n = _checked_order(order)
+    masses = _frozen_mass(block, tuple(range(1, block.ndim)))
+    return (CheckerboardCopula._of(labels, mass, n) for mass in masses)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, _checked_order, _random_copulas, _whole_number
+from .copulas import CheckerboardCopula, _checked_order, _random_copulas, _views, _whole_number
 from .errors import (
     CompatibilityError,
     DomainError,
@@ -25,7 +25,7 @@ from .errors import (
     InternalError,
     ValidationError,
 )
-from .measures import _canonical_only, _frozen_mass, _real_number
+from .measures import _real_number
 
 #: row/column sums of the n-scaled mass may deviate from one by this much
 DOUBLY_STOCHASTIC_TOL = 1e-10
@@ -52,23 +52,20 @@ def permutation_copula(perm: Sequence[int], labels: Iterable = (0, 1)) -> Checke
 
 
 def _permutation_copulas(perms: list, n: int, labels: tuple = (0, 1)) -> Iterator:
-    """The permutation copulas of ``perms``, read-only views of one checked block.
+    """The permutation copulas of ``perms``, handed out by :func:`~copulagrid.copulas._views`.
 
-    One indexed store puts ``1/n`` on the cells ``(k, i, perms[k][i])`` of a
-    zeroed ``(len(perms), n, n)`` block.  The block then passes, once, every
-    check the constructor makes: canonical labels, a whole order >= 1, and
-    the mass check of :func:`~copulagrid.measures.checked_mass`, with one
-    total per copula.  ``perms`` must hold permutations of ``0..n-1``.  The
-    copulas are made one at a time as the iterator is read, so only those a
-    caller keeps stay alive.
+    One indexed store puts ``1`` on the cells ``(k, i, perms[k][i])`` of a
+    zeroed ``(len(perms), n, n)`` block, which is then divided by ``n``, the
+    bits of storing ``1/n``: an order of 0 divides an empty block, so it is
+    refused after the labels, as the constructor refuses it.  ``perms`` must
+    hold permutations of ``0..n-1``.
     """
-    labels = _canonical_only(labels)
-    n = _checked_order(n)
     rows = len(perms) * n
     cols = np.fromiter(itertools.chain.from_iterable(perms), dtype=np.intp, count=rows)
     block = np.zeros((len(perms), n, n))
-    block.reshape(rows, n)[np.arange(rows), cols] = 1.0 / n
-    return (CheckerboardCopula._of(labels, mass, n) for mass in _frozen_mass(block, (1, 2)))
+    block.reshape(rows, n)[np.arange(rows), cols] = 1.0
+    block /= n
+    return _views(labels, n, block)
 
 
 def _support_rows(support: np.ndarray) -> list:
@@ -237,12 +234,8 @@ def maximize_convex(
                 best_val, best_perm = val, perm
     rng = np.random.default_rng(seed)
     interior = _random_copulas((0, 1), n, rng, samples)
-    interior_best = -math.inf
-    values = []
-    for c in interior:
-        val = _value(functional, c, "an interior copula")
-        interior_best = max(interior_best, val)
-        values.append(val)
+    values = [_value(functional, c, "an interior copula") for c in interior]
+    interior_best = max(values, default=-math.inf)
     violations = 0
     if len(interior) >= 2:
         for _ in range(checks):

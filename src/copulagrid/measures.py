@@ -4,9 +4,10 @@ Marginals live on the extended real line: atomic laws may place mass at
 ``-inf`` or ``+inf``, continuous laws are piecewise-linear CDFs on a finite
 interval.  Tensor measures are discrete probability measures on a product
 grid, with one axis per index label.  :class:`GridMeasure` is the core they
-share with checkerboard copulas: construction checks, equality and axis
-reduction.  Everything is immutable after construction and all operations are
-pure functions.
+share with checkerboard copulas: construction checks and axis reduction.
+Every value type compares by the equality of its slots (:class:`_Value`).
+Everything is immutable after construction and all operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -154,7 +155,29 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
 
-class Marginal(_Immutable):
+def _same(a, b) -> bool:
+    """Slot equality: arrays by ``np.array_equal``, tuples entrywise, else ``is`` or ``==``."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a is b or a == b
+
+
+class _Value(_Immutable):
+    """An immutable value, equal to one of its type whose slots are :func:`_same`; unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, name), getattr(other, name)) for name in self._slot_names)
+
+    __hash__ = None
+
+
+class Marginal(_Value):
     """A one-dimensional probability law with CDF and quantile evaluation.
 
     Use :meth:`atomic` for a purely discrete law given by weighted atoms, or
@@ -201,15 +224,6 @@ class Marginal(_Immutable):
         if fs[0] != 0.0 or fs[-1] != 1.0:
             raise ValidationError("CDF must start at exactly 0 and end at exactly 1")
         return cls._of(CONTINUOUS, xs, None, fs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Marginal):
-            return NotImplemented
-        return self.kind == other.kind and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("xs", "ws", "fs")
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return f"Marginal({self.kind}, {len(self.xs)} points)"
@@ -316,13 +330,13 @@ def _frozen_mass(arr: np.ndarray, axes=None) -> np.ndarray:
     return _frozen(arr)
 
 
-class GridMeasure(_Immutable):
+class GridMeasure(_Value):
     """Core of every discrete measure here: labels, a grid, and a mass tensor.
 
     Subclasses store canonical ``labels`` (see :func:`canonical_labels`; axis ``i``
     belongs to label ``i``) and ``mass`` (built by :func:`checked_mass`) and provide
     ``grid``, one strictly increasing axis of node positions per label.  Equality
-    compares labels, grid and mass of measures of one type.
+    compares the slots (:class:`_Value`); a copula's order stands for its grid.
     Attributes are set once, in ``__init__``; assigning or deleting one later
     raises :class:`AttributeError`.
     """
@@ -332,17 +346,6 @@ class GridMeasure(_Immutable):
     @property
     def ndim(self) -> int:
         return len(self.labels)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.labels == other.labels
-            and all(np.array_equal(a, b) for a, b in zip(self.grid, other.grid))
-            and np.array_equal(self.mass, other.mass)
-        )
-
-    __hash__ = None
 
 
 def sum_out(m: GridMeasure, labels: Iterable) -> tuple:

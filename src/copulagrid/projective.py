@@ -24,13 +24,14 @@ from .copulas import (
     validate_copula,
 )
 from .errors import CompatibilityError, DomainError, EvaluationError, ValidationError
-from .measures import TensorMeasure, _Immutable, _real_number, canonical_labels, marginalize_tensor
+from .measures import TensorMeasure, _Immutable, _Value, _real_number, _same, canonical_labels
+from .measures import marginalize_tensor
 
 COPULA = "copula"
 GENERAL = "general"
 
 
-class IndexUniverse(_Immutable):
+class IndexUniverse(_Value):
     """Either an explicit finite label set or the nonnegative integers; read-only."""
 
     __slots__ = ("kind", "labels")
@@ -60,13 +61,6 @@ class IndexUniverse(_Immutable):
             if lab not in self:
                 raise CompatibilityError(f"label {lab!r} outside the index universe")
         return subset
-
-    def __eq__(self, other):
-        if not isinstance(other, IndexUniverse):
-            return NotImplemented
-        return self.kind == other.kind and self.labels == other.labels
-
-    __hash__ = None
 
     def __repr__(self):
         if self.kind == self.FINITE:
@@ -182,9 +176,8 @@ class ConsistencyReport:
 
 def _members_match(a, b, tol: float):
     """Entrywise comparison of two members of one family over the same subset."""
-    for ga, gb in zip(a.grid, b.grid):
-        if not np.array_equal(ga, gb):
-            return float("inf"), "grids differ"
+    if not _same(a.grid, b.grid):
+        return float("inf"), "grids differ"
     dev = float(np.max(np.abs(a.mass - b.mass)))
     return dev, "" if dev <= tol else f"mass deviation {dev!r}"
 
@@ -217,9 +210,10 @@ def check_consistency(
             checks.append(
                 PairCheck(subset, subset, dev, False, f"rule is nondeterministic: {msg}")
             )
-    for j1 in canon:
-        for j2 in canon:
-            if not set(j1) <= set(j2):
+    sets = [frozenset(j) for j in canon]
+    for j1, s1 in zip(canon, sets):
+        for j2, s2 in zip(canon, sets):
+            if not s1 <= s2:
                 continue
             projected = marginalize(family_member(f, j2), j1)
             dev, msg = _members_match(family_member(f, j1), projected, tol)

@@ -157,7 +157,7 @@ def discretize_joint(
         axis_grid = None if grids is None else grids.get(lab)
         targets, T = _axis_transfer(m, member.order, axis_grid)
         target_grid.append(targets)
-        mass = np.tensordot(mass, T, axes=([0], [1]))
+        mass = _contract(mass, T.T)
     return TensorMeasure(subset, tuple(target_grid), mass)
 
 

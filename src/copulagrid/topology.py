@@ -445,20 +445,14 @@ def compactness_probe(seq: Sequence[CheckerboardCopula], eps: float) -> Compactn
     for c in seq[1:]:
         if c.labels != first.labels or c.order != first.order:
             raise CompatibilityError("sequence members must share labels and order")
-    masses = [c.mass for c in seq]
-    assigned = [False] * len(seq)
+    masses = np.stack([c.mass.ravel() for c in seq])
+    free = list(range(len(seq)))  # the unassigned indices, in order
     clusters = []
-    for i in range(len(seq)):
-        if assigned[i]:
-            continue
-        members = [
-            k
-            for k in range(i, len(seq))
-            if not assigned[k] and float(np.max(np.abs(masses[k] - masses[i]))) <= eps
-        ]
-        for k in members:
-            assigned[k] = True
-        clusters.append((i, members))
+    while free:
+        # compared as Python floats: numpy overflows on a 10**400 eps and widens a float32 one
+        near = np.abs(masses[free] - masses[free[0]]).max(axis=1).tolist()
+        clusters.append((free[0], [k for k, d in zip(free, near) if d <= eps]))
+        free = [k for k, d in zip(free, near) if not d <= eps]
     anchor, members = max(clusters, key=lambda item: len(item[1]))
     return CompactnessResult(
         indices=tuple(members),
