@@ -188,8 +188,11 @@ def _contract(val: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     The same ``np.dot`` on the same operands as
     ``np.tensordot(val, w, axes=([0], [0]))``, so the same bits, without
-    tensordot's bookkeeping.
+    tensordot's bookkeeping.  Two vectors go to ``np.dot`` as they are: numpy
+    hands them, like the ``(1, n)`` by ``(n, 1)`` product, to one BLAS ``ddot``.
     """
+    if val.ndim == 1 and w.ndim == 1:
+        return np.dot(val, w)
     n = w.shape[0]
     at = val.transpose((*range(1, val.ndim), 0)).reshape(-1, n)
     return np.dot(at, w.reshape(n, -1)).reshape(val.shape[1:] + w.shape[1:])
@@ -203,10 +206,20 @@ def cdf_eval_copula(c: CheckerboardCopula, u: Sequence[float]) -> float:
     """
     if len(u) != c.ndim:
         raise CompatibilityError(f"point has {len(u)} coordinates, copula has {c.ndim}")
-    val = c.mass
-    for u_j in u:
-        val = _contract(val, _cell_weights(c.order, u_j))
-    return min(max(val.item(), 0.0), 1.0)
+    return _descend([c.mass], (_cell_weights(c.order, u_j) for u_j in u))
+
+
+def _descend(stack: list, weights: Iterable) -> float:
+    """Contract the last entry of ``stack`` along each of ``weights`` in turn.
+
+    Each partial contraction is appended to ``stack``, so a caller that keeps
+    ``stack[:j + 1]`` can later descend from the mass contracted along the
+    first ``j`` weights.  Returns the copula CDF value: the final scalar,
+    clipped to ``[0, 1]``.
+    """
+    for w in weights:
+        stack.append(_contract(stack[-1], w))
+    return min(max(stack[-1].item(), 0.0), 1.0)
 
 
 def to_tensor_measure(c: CheckerboardCopula) -> TensorMeasure:

@@ -82,12 +82,22 @@ def _unzipped(pairs, what: str) -> tuple:
 
 
 def canonical_labels(labels: Iterable) -> tuple:
-    """Return labels as a sorted tuple, rejecting duplicates and unsortable mixes."""
+    """Return labels as a sorted tuple, rejecting duplicates and unsortable mixes.
+
+    A label unequal to itself, such as a NaN, compares false both ways, so
+    ``sorted`` would order it by where it was given: beside other labels it
+    is refused.  Alone it is its own order.
+    """
     seq = list(labels)
     if not seq:
         raise CompatibilityError("index subset must be nonempty")
     if len(set(seq)) != len(seq):
         raise CompatibilityError(f"duplicate labels in {seq!r}")
+    unequal = [lab for lab in seq if lab != lab] if len(seq) > 1 else []
+    if unequal:
+        raise CompatibilityError(
+            f"label {unequal[0]!r} is unequal to itself, so {seq!r} has no sorted order"
+        )
     try:
         return tuple(sorted(seq))
     except TypeError as exc:

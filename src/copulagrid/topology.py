@@ -273,7 +273,11 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     swap = (pb.tobytes(), mb.tobytes()) < (pa.tobytes(), ma.tobytes())
     if swap:
         pa, ma, pb, mb = pb, mb, pa, ma
-    cost = np.max(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2)
+    # the max-norm cost axis by axis: a maximum is exact, and no (m, n, d) temporary is made
+    cols_a, cols_b = np.ascontiguousarray(pa.T), np.ascontiguousarray(pb.T)
+    cost = np.abs(np.subtract.outer(cols_a[0], cols_b[0]))
+    for xa, xb in zip(cols_a[1:], cols_b[1:]):
+        np.maximum(cost, np.abs(np.subtract.outer(xa, xb)), out=cost)
     m, n = cost.shape
     plan = np.zeros((m, n))
     ra, rb = ma.tolist(), mb.tolist()
