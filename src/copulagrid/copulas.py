@@ -15,6 +15,7 @@ broken inputs can be diagnosed.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -164,6 +165,12 @@ def _bounds(n: int) -> np.ndarray:
     return _frozen(np.arange(n + 1) / n)
 
 
+@functools.lru_cache(maxsize=64)
+def _cell_rows(n: int) -> tuple:
+    """:func:`_bounds` as floats, and rows ``k = 0, ..., n`` holding ``k`` ones, then zeros."""
+    return tuple(_bounds(n).tolist()), tuple(_frozen(np.tri(n + 1, n, -1)))
+
+
 def _cell_weights(n: int, u_j) -> np.ndarray:
     """Share of each order-``n`` cell ``[k/n, (k+1)/n]`` that lies below ``u_j``.
 
@@ -173,29 +180,28 @@ def _cell_weights(n: int, u_j) -> np.ndarray:
     u_j = _as_float(u_j, "copula CDF argument")
     if math.isnan(u_j) or u_j < 0.0 or u_j > 1.0:
         raise DomainError(f"copula CDF argument {u_j!r} outside [0, 1]")
+    bounds, rows = _cell_rows(n)
     if u_j == 1.0:
-        return np.ones(n)
-    bounds = _bounds(n)
-    cell = int(bounds.searchsorted(u_j, side="right")) - 1
-    w = np.zeros(n)
-    w[:cell] = 1.0
-    w[cell] = min(max((u_j - bounds.item(cell)) * n, 0.0), 1.0)
+        return rows[n].copy()
+    cell = bisect.bisect_right(bounds, u_j) - 1
+    w = rows[cell].copy()
+    w[cell] = min(max((u_j - bounds[cell]) * n, 0.0), 1.0)
     return w
 
 
-def _contract(val: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _contract(val: np.ndarray, w: np.ndarray) -> np.ndarray | np.float64:
     """Contract the first axis of ``val`` with the first axis of the vector or matrix ``w``.
 
     The same ``np.dot`` on the same operands as
     ``np.tensordot(val, w, axes=([0], [0]))``, so the same bits, without
-    tensordot's bookkeeping.  Two vectors go to ``np.dot`` as they are: numpy
-    hands them, like the ``(1, n)`` by ``(n, 1)`` product, to one BLAS ``ddot``.
+    tensordot's bookkeeping.  numpy hands a vector ``w``, like an ``(n, 1)``
+    column, to one BLAS ``dgemv``, and two vectors, like a ``(1, n)`` row and
+    a column, to one ``ddot``, which returns a numpy scalar.
     """
     if val.ndim == 1 and w.ndim == 1:
         return np.dot(val, w)
-    n = w.shape[0]
-    at = val.transpose((*range(1, val.ndim), 0)).reshape(-1, n)
-    return np.dot(at, w.reshape(n, -1)).reshape(val.shape[1:] + w.shape[1:])
+    at = val.transpose((*range(1, val.ndim), 0)).reshape(-1, w.shape[0])
+    return np.dot(at, w).reshape(val.shape[1:] + w.shape[1:])
 
 
 def cdf_eval_copula(c: CheckerboardCopula, u: Sequence[float]) -> float:
@@ -206,20 +212,10 @@ def cdf_eval_copula(c: CheckerboardCopula, u: Sequence[float]) -> float:
     """
     if len(u) != c.ndim:
         raise CompatibilityError(f"point has {len(u)} coordinates, copula has {c.ndim}")
-    return _descend([c.mass], (_cell_weights(c.order, u_j) for u_j in u))
-
-
-def _descend(stack: list, weights: Iterable) -> float:
-    """Contract the last entry of ``stack`` along each of ``weights`` in turn.
-
-    Each partial contraction is appended to ``stack``, so a caller that keeps
-    ``stack[:j + 1]`` can later descend from the mass contracted along the
-    first ``j`` weights.  Returns the copula CDF value: the final scalar,
-    clipped to ``[0, 1]``.
-    """
-    for w in weights:
-        stack.append(_contract(stack[-1], w))
-    return min(max(stack[-1].item(), 0.0), 1.0)
+    val = c.mass
+    for u_j in u:
+        val = _contract(val, _cell_weights(c.order, u_j))
+    return min(max(val.item(), 0.0), 1.0)
 
 
 def to_tensor_measure(c: CheckerboardCopula) -> TensorMeasure:

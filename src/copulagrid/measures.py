@@ -12,6 +12,7 @@ functions.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from typing import Iterable, Mapping, Sequence
@@ -38,6 +39,8 @@ def _real_number(value) -> bool:
 
 def _as_float(x, what: str) -> float:
     """``x`` as a float; :class:`DomainError` unless it is a real number within the float range."""
+    if isinstance(x, float):
+        return float(x)
     if not _real_number(x):
         raise DomainError(f"{what} must be a real number, got {x!r}")
     try:
@@ -84,24 +87,27 @@ def _unzipped(pairs, what: str) -> tuple:
 def canonical_labels(labels: Iterable) -> tuple:
     """Return labels as a sorted tuple, rejecting duplicates and unsortable mixes.
 
-    A label unequal to itself, such as a NaN, compares false both ways, so
-    ``sorted`` would order it by where it was given: beside other labels it
-    is refused.  Alone it is its own order.
+    The sorted labels must be strictly increasing.  A NaN, a tuple holding
+    one, or two sets neither of which holds the other compare false both
+    ways, so ``sorted`` leaves them where they were given; such labels are
+    refused.  A lone label is its own order.
     """
     seq = list(labels)
     if not seq:
         raise CompatibilityError("index subset must be nonempty")
     if len(set(seq)) != len(seq):
         raise CompatibilityError(f"duplicate labels in {seq!r}")
-    unequal = [lab for lab in seq if lab != lab] if len(seq) > 1 else []
-    if unequal:
-        raise CompatibilityError(
-            f"label {unequal[0]!r} is unequal to itself, so {seq!r} has no sorted order"
-        )
     try:
-        return tuple(sorted(seq))
+        out = tuple(sorted(seq))
+        for a, b in zip(out, out[1:]):
+            if not a < b:
+                raise CompatibilityError(
+                    f"labels {a!r} and {b!r} are not strictly ordered, "
+                    f"so {seq!r} has no sorted order"
+                )
     except TypeError as exc:
         raise CompatibilityError(f"labels are not mutually orderable: {seq!r}") from exc
+    return out
 
 
 def _canonical_only(labels) -> tuple:
@@ -242,20 +248,21 @@ class Marginal(_Value):
 def cdf_eval(m: Marginal, x: float) -> float:
     """Evaluate ``F(x)``, the mass of the closed lower ray up to ``x``.
 
-    Right-continuous in ``x``; ``F(+inf) = 1`` exactly.  The interpolation
-    reads its table entries as Python floats, in the same operation order:
-    the bits numpy scalars give, at a lower cost per call.
+    Right-continuous in ``x``; ``F(+inf) = 1`` exactly.  The search and the
+    interpolation read the tables through memoryviews, as Python floats, in
+    the same operation order: the index ``searchsorted`` finds and the bits
+    numpy scalars give, at a lower cost per call.
     """
     x = _as_float(x, "cdf argument")
     if math.isnan(x):
         raise DomainError("cdf argument must not be NaN")
-    xs, fs = m.xs, m.fs
-    i = int(xs.searchsorted(x, side="right"))
+    xs, fs = m.xs.data, m.fs.data
+    i = bisect.bisect_right(xs, x)
     if i == 0:
         return 0.0
     if m.kind == ATOMIC or i == len(xs):
-        return fs.item(i - 1)
-    x_lo, x_hi, f_lo, f_hi = xs.item(i - 1), xs.item(i), fs.item(i - 1), fs.item(i)
+        return fs[i - 1]
+    x_lo, x_hi, f_lo, f_hi = xs[i - 1], xs[i], fs[i - 1], fs[i]
     raw = f_lo + (x - x_lo) * (f_hi - f_lo) / (x_hi - x_lo)
     # clamping keeps the float CDF monotone across knot boundaries
     return min(max(raw, f_lo), f_hi)
@@ -453,7 +460,7 @@ def cdf_eval_tensor(t: TensorMeasure, point: Sequence[float]) -> float:
         x = _as_float(x, "cdf argument")
         if math.isnan(x):
             raise DomainError("cdf argument must not be NaN")
-        ends.append(int(axis.searchsorted(x, side="right")))
+        ends.append(bisect.bisect_right(axis.data, x))
     return _mass_below(t.mass, ends)
 
 

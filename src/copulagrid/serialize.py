@@ -56,10 +56,13 @@ def decode_float(s) -> float:
     return value
 
 
-def _encode_nested(arr: np.ndarray):
+def _encode_nested(arr: np.ndarray, encode=None):
+    """:func:`encode_float` of each entry, nested as ``arr``: in a finite array, its ``repr``."""
+    if encode is None:
+        encode = repr if np.isfinite(arr).all() else encode_float
     if arr.ndim == 1:
-        return [encode_float(x) for x in arr.tolist()]
-    return [_encode_nested(sub) for sub in arr]
+        return list(map(encode, arr.tolist()))
+    return [_encode_nested(sub, encode) for sub in arr]
 
 
 def _decode_nested(data):

@@ -27,7 +27,7 @@ from .copulas import (
     _cell_weights,
     _checked_order,
     _contract,
-    _descend,
+    cdf_eval_copula,
     validate_copula,
 )
 from .errors import (
@@ -64,8 +64,7 @@ class JointMeasure(_Immutable):
     Every label of a finite universe needs a marginal; a countable one is checked per request.
     """
 
-    # _probes: validated subset -> (coordinates, stack) of the last joint_cdf call on it
-    __slots__ = ("family", "marginals", "_probes")
+    __slots__ = ("family", "marginals")
 
     def __init__(self, family: ProjectiveFamily, marginals: Mapping):
         if family.kind != COPULA:
@@ -78,7 +77,7 @@ class JointMeasure(_Immutable):
         for lab, m in marginals.items():
             if not isinstance(m, Marginal):
                 raise ConfigurationError(f"marginal for {lab!r} is not a Marginal")
-        self._fill(family, marginals, {})
+        self._fill(family, marginals)
 
     def marginal(self, label) -> Marginal:
         return _marginal_for(self.marginals, label)
@@ -94,18 +93,6 @@ def joint_cdf(jm: JointMeasure, labels: Iterable, point: Sequence[float]) -> flo
 
     Coordinates in ``point`` follow the order of ``labels`` as given, which
     need not be sorted.
-
-    Each joint remembers, per subset, its last probe's coordinates and the
-    copula mass contracted along each prefix of their cell weights, as
-    :func:`verify_sklar`'s sweep does.  A probe that shares its first ``k``
-    coordinates, in the canonical order of ``labels``, with the previous
-    probe over the same subset reads ``d - k`` marginals and contracts
-    ``d - k`` axes, so a scan of a product grid in product order costs one
-    contraction per point.  Values are bitwise those of the plain
-    evaluation, and errors keep their type, message and order.  Each call
-    replaces the remembered pair in one assignment once it has its value,
-    and a call that raises leaves it as it was, so concurrent callers on one
-    joint get the same values as serial ones.
     """
     given = tuple(labels)
     subset = jm.family.universe.validate_subset(given)
@@ -114,22 +101,8 @@ def joint_cdf(jm: JointMeasure, labels: Iterable, point: Sequence[float]) -> flo
             f"point has {len(point)} coordinates for subset of size {len(given)}"
         )
     coords = dict(zip(given, point))
-    last_coords, last_stack = jm._probes.get(subset, ((), ()))
-    xs, levels, keep = [], [], 0
-    for j, lab in enumerate(subset):
-        m = jm.marginal(lab)
-        x = _as_float(coords[lab], "cdf argument")
-        xs.append(x)
-        # the last call read this level; a NaN equals nothing, so cdf_eval refuses it
-        if keep == j < len(last_coords) and x == last_coords[j]:
-            keep += 1
-        else:
-            levels.append(cdf_eval(m, x))
-    member = _member(jm.family, subset)
-    stack = list(last_stack[: keep + 1]) if keep else [member.mass]
-    value = _descend(stack, (_cell_weights(member.order, u) for u in levels))
-    jm._probes[subset] = (tuple(xs), tuple(stack))
-    return value
+    u = [cdf_eval(jm.marginal(lab), coords[lab]) for lab in subset]
+    return cdf_eval_copula(_member(jm.family, subset), u)
 
 
 def _axis_transfer(m: Marginal, order: int, grid):
@@ -256,8 +229,10 @@ def _sweep(jm: JointMeasure, eager: TensorMeasure, probes: Iterable) -> SklarChe
         while keep < len(prefix) and weights[keep] is prefix[keep]:
             keep += 1
         del stack[keep + 1 :]
-        a = _descend(stack, weights[keep:])
+        for j in range(keep, d):
+            stack.append(_contract(stack[j], weights[j]))
         prefix = weights
+        a = min(max(stack[d].item(), 0.0), 1.0)
         b = _mass_below(eager.mass, ends)
         dev = abs(a - b)
         if dev > worst:

@@ -1,21 +1,18 @@
-"""``joint_cdf``'s per-joint prefix memo against the pointwise reference, bit for bit.
+"""``joint_cdf`` and ``cdf_eval_copula`` against the pointwise references, bit for bit.
 
-Each joint remembers, per subset, its last probe's coordinates and the copula
-mass contracted along each prefix of their cell weights, and a probe descends
-only from the first coordinate that changed.  Whatever the probe order, the
-subsets asked in between, the joints sharing one family, the threads calling
-at once or the calls refused midway, every value is the one
-``tests/reference_sklar.joint_cdf`` gives, and every refusal keeps the type,
-message and order of the plain evaluation: per axis in canonical label order
-the marginal, then the coordinate, and the family rule only after them all.
+The copula CDF finds a level's cell by ``bisect`` over the order's boundaries
+as floats, copies its cell weights from a cached row of ones, and hands two
+vectors straight to ``np.dot``.  Whatever the probe order, the subsets asked
+in between, the joints sharing one family or the calls refused midway, every
+value is the one ``tests/reference_sklar`` gives, on boundaries ``k/n`` and
+their float neighbours too, and every refusal keeps the type, message and
+order of the plain evaluation: per axis in canonical label order the
+marginal, then the coordinate, and the family rule only after them all.
 """
 
-import copy
 import itertools
 import math
 import random
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -32,6 +29,7 @@ from copulagrid import (
     IndexUniverse,
     Marginal,
     ProjectiveFamily,
+    cdf_eval_copula,
     compose,
     family_from_copula,
     independence_family,
@@ -148,7 +146,7 @@ def test_interleaved_subsets_and_label_orders():
         _check(jm, given_order, [probe])
 
 
-def test_joints_sharing_one_family_keep_their_own_memo():
+def test_joints_sharing_one_family():
     jm = _joint(3)
     ramp = Marginal.continuous([(-1.0, 0.0), (2.0, 1.0)])
     other = compose(jm.family, {lab: ramp for lab in LABELS})
@@ -159,7 +157,7 @@ def test_joints_sharing_one_family_keep_their_own_memo():
         _check(other, ("c", "a", "b"), [probe[2:] + probe[:2]])
 
 
-def test_a_refused_call_mid_scan_changes_nothing():
+def test_a_refused_call_mid_scan_leaves_later_values_as_they_were():
     jm = _joint(5)
     grid = _grid(jm, LABELS, seed=5)
     bad = [
@@ -172,10 +170,8 @@ def test_a_refused_call_mid_scan_changes_nothing():
     for k, probe in enumerate(grid):
         _check(jm, LABELS, [probe])
         error, message, spoil = bad[k % len(bad)]
-        before = jm._probes.get(LABELS)
         with pytest.raises(error, match=message):
             joint_cdf(jm, LABELS, spoil(probe))
-        assert jm._probes.get(LABELS) is before
     _check(jm, LABELS, grid[::-1])
 
 
@@ -192,46 +188,27 @@ def test_negative_zero_shares_the_level_of_zero():
     _check(jm, LABELS, zeros + zeros[::-1] + [(0.0, 0.5, -0.0), (-0.0, 0.5, 0.0)])
 
 
-def test_a_copy_twin_shares_the_memo_and_the_values():
-    jm = _joint(9)
-    twin = copy.copy(jm)
-    assert twin._probes is jm._probes and twin != jm
-    grid = _grid(jm, LABELS, seed=9)
-    for k, probe in enumerate(grid):
-        _check(twin if k % 2 else jm, LABELS, [probe])
-    _check(twin, LABELS, grid[::-1])
+def _levels(n: int) -> list:
+    """Cell boundaries ``k/n``, their float neighbours inside ``[0, 1]``, and midpoints."""
+    out = {-0.0, 0.0, 1.0}
+    for k in range(n + 1):
+        b = k / n
+        out.update((math.nextafter(b, -1.0), b, math.nextafter(b, 2.0), (k + 0.5) / n))
+    return sorted(x for x in out if 0.0 <= x <= 1.0)
 
 
-def test_threads_scanning_one_joint_get_the_reference_values():
-    jm = _joint(13)
-    subsets = [LABELS, ("a", "c"), ("b",)]
-    work = []
-    for k in range(4):
-        subset = subsets[k % len(subsets)]
-        probes = _grid(jm, subset, seed=k)
-        random.Random(k).shuffle(probes)
-        probes = probes + probes[::-1]
-        expected = [bits(reference_sklar.joint_cdf(jm, subset, p)) for p in probes]
-        work.append((subset, probes, expected))
-    results = [None] * len(work)
-
-    def scan(k):
-        subset, probes, _ = work[k]
-        results[k] = [bits(joint_cdf(jm, subset, p)) for p in probes]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=scan, args=(k,), daemon=True) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for (_, _, expected), got in zip(work, results):
-        assert got == expected
+@given(st.data())
+@SETTINGS
+def test_copula_cdf_on_cell_boundaries_matches_the_reference(data):
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 40 if d < 3 else 12))
+    c = random_copula(tuple(range(d)), n, np.random.default_rng(data.draw(st.integers(0, 99))))
+    levels = _levels(n)
+    points = data.draw(
+        st.lists(st.tuples(*[st.sampled_from(levels)] * d), min_size=1, max_size=20)
+    )
+    for u in points:
+        assert bits(cdf_eval_copula(c, u)) == bits(reference_sklar.cdf_eval_copula(c, u)), u
 
 
 COIN = Marginal.atomic([(0.0, 0.5), (1.0, 0.5)])
@@ -243,7 +220,7 @@ def test_a_missing_marginal_on_an_earlier_axis_is_refused_first(later):
     for labels, point in [((0, 1), (0.5, later)), ((2, 0), (later, 0.5))]:
         with pytest.raises(ConfigurationError, match="^no marginal supplied for label 0$"):
             joint_cdf(jm, labels, point)
-    # a primed memo on another subset changes nothing
+    # a subset evaluated in between changes nothing
     assert joint_cdf(jm, (1, 2), (0.5, 0.5)) == 0.25
     with pytest.raises(ConfigurationError, match="^no marginal supplied for label 0$"):
         joint_cdf(jm, (0, 1, 2), (0.5, 0.5, later))

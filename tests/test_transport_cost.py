@@ -32,9 +32,9 @@ def tensors(draw, dims, max_points):
         axis = draw(st.lists(points, min_size=1, max_size=max_points, unique_by=float))
         grid.append(sorted(set(axis)))
     shape = tuple(len(axis) for axis in grid)
-    weights = np.array(
-        draw(st.lists(st.integers(0, 3), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
-    ).reshape(shape)
+    size = int(np.prod(shape))
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)))
+    weights = weights.reshape(shape)
     if not weights.any():
         weights.flat[0] = 1
     return TensorMeasure(tuple(range(dims)), grid, weights / weights.sum())
