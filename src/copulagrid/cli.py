@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .copulas import CheckerboardCopula, _checked_order, random_copula, validate_copula
+from .copulas import CheckerboardCopula, _checked_order, _checked_seed, random_copula
+from .copulas import validate_copula
 from .errors import (
     CompatibilityError,
     ConfigurationError,
@@ -201,7 +202,7 @@ def cmd_distance(args) -> int:
 
 def cmd_compact_demo(args) -> int:
     _checked_eps(args.eps)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_checked_seed(args.seed))
     labels = (0, 1)
     anchors = [random_copula(labels, args.order, rng) for _ in range(3)]
     # convex mixing keeps each draw within eps/2 of its anchor in max norm
@@ -241,8 +242,8 @@ _FUNCTIONALS = {
 
 
 def cmd_extremal(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    functional = _FUNCTIONALS[args.functional](rng, args.order)
+    rng = np.random.default_rng(_checked_seed(args.seed))
+    functional = _FUNCTIONALS[args.functional](rng, _checked_order(args.order))
     result = maximize_convex(
         functional,
         args.order,

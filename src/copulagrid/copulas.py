@@ -19,6 +19,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -72,6 +73,14 @@ def _checked_order(order, name: str = "order") -> int:
     n = _whole_number(order, name)
     if n < 1:
         raise DomainError(f"{name} must be >= 1, got {n}")
+    return n
+
+
+def _checked_seed(seed) -> int:
+    """``seed`` as an int for ``np.random.default_rng``, refused unless a whole number >= 0."""
+    n = _whole_number(seed, "seed")
+    if n < 0:
+        raise DomainError(f"seed must be >= 0, got {n}")
     return n
 
 
@@ -321,10 +330,12 @@ def _views(labels, order, block: np.ndarray) -> Iterator:
     """Copulas over ``labels`` of order ``order``, read-only views of the slices of ``block``.
 
     The block passes every check the constructor makes once, with one mass
-    total per slice of the shape ``(order,) * len(labels)``.  The copulas are
-    made as the iterator is read, so only those a caller keeps stay alive.
+    total per slice of the shape ``(order,) * len(labels)``.  The copulas of
+    the whole block are then made at once, by one
+    :meth:`~copulagrid.measures._Immutable._batch`, and handed out as an
+    iterator.
     """
     labels = _canonical_only(labels)
     n = _checked_order(order)
     masses = _frozen_mass(block, tuple(range(1, block.ndim)))
-    return (CheckerboardCopula._of(labels, mass, n) for mass in masses)
+    return iter(CheckerboardCopula._batch(len(masses), repeat(labels), masses, repeat(n)))

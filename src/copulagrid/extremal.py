@@ -17,7 +17,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, _checked_order, _random_copulas, _views, _whole_number
+from .copulas import CheckerboardCopula, _checked_order, _checked_seed, _random_copulas, _views
+from .copulas import _whole_number
 from .errors import (
     CompatibilityError,
     DomainError,
@@ -69,51 +70,59 @@ def _permutation_copulas(perms: list, n: int, labels: tuple = (0, 1)) -> Iterato
 
 
 def _support_rows(support: np.ndarray) -> list:
-    """Per-row lists of the support's columns, in increasing order, read by one ``np.nonzero``."""
-    adj = [[] for _ in range(support.shape[0])]
-    rows, cols = np.nonzero(support)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        adj[row].append(col)
-    return adj
+    """Per-row bitmasks of the support: bit ``j`` of row ``i`` is set where ``support[i, j]`` is.
+
+    Read by one ``np.packbits``, eight columns to a byte, lowest column in
+    the lowest bit.
+    """
+    packed = np.packbits(np.asarray(support, dtype=bool), axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed.tolist()]
 
 
 def _perfect_matching(support: np.ndarray, forced: tuple = (-1, -1)):
     """Perfect matching of the support, containing the edge ``forced`` if given.
 
-    See :func:`_kuhn`; the support is read once by :func:`_support_rows`.
+    See :func:`_kuhn`; the support is read once, into row bitmasks, by :func:`_support_rows`.
     """
     return _kuhn(_support_rows(support), forced)
 
 
 def _kuhn(adj: list, forced: tuple = (-1, -1)):
-    """Perfect matching of the support whose row ``i`` has the columns ``adj[i]``.
+    """Perfect matching of the support whose row ``i`` has the column bitmask ``adj[i]``.
 
     Kuhn's augmenting-path search, visiting rows and columns in increasing
-    index order so the result is deterministic: it walks each row's list of
-    support columns instead of testing every cell.  The edge ``forced`` is
-    in the matching if given.  Returns ``None`` when no perfect matching
-    exists.
+    index order so the result is deterministic.  A row's candidates are the
+    set bits of ``adj[row] & ~seen``, taken lowest first and read afresh
+    after each failed recursion, which may have seen more columns: the
+    columns a walk of the row's support in increasing order would try, in
+    that order.  The edge ``forced`` is in the matching if given.  Returns
+    ``None`` when no perfect matching exists.
     """
     n = len(adj)
     match_col = [-1] * n  # column -> row
     i0, j0 = forced
     if j0 >= 0:
         match_col[j0] = i0
+    seen = 0
 
-    def augment(row, seen):
-        for col in adj[row]:
-            if not seen[col]:
-                seen[col] = True
-                if match_col[col] == -1 or augment(match_col[col], seen):
-                    match_col[col] = row
-                    return True
+    def augment(row):
+        nonlocal seen
+        free = adj[row] & ~seen
+        while free:
+            bit = free & -free
+            seen |= bit
+            col = bit.bit_length() - 1
+            if match_col[col] == -1 or augment(match_col[col]):
+                match_col[col] = row
+                return True
+            free = adj[row] & ~seen
         return False
 
-    unseen = [col == j0 for col in range(n)]
     for row in range(n):
         if row == i0:
             continue
-        if not augment(row, unseen.copy()):
+        seen = 1 << j0 if j0 >= 0 else 0
+        if not augment(row):
             return None
     perm = [-1] * n
     for col, row in enumerate(match_col):
@@ -129,8 +138,8 @@ def birkhoff_decompose(c: CheckerboardCopula):
     that entry from the support; at most ``n**2 - 2*n + 2`` terms are
     produced.  Returns ``(weight, permutation)`` pairs with nonnegative
     weights summing to one.  Cells only ever leave the support, so its mask
-    and per-row column lists are built once and lose, after each round, the
-    cells of the subtracted permutation that fell to ``_DUST`` or below.
+    and per-row column bitmasks are built once and lose, after each round,
+    the cells of the subtracted permutation that fell to ``_DUST`` or below.
     """
     if c.ndim != 2:
         raise CompatibilityError("decomposition applies to two-dimensional copulas")
@@ -163,7 +172,7 @@ def birkhoff_decompose(c: CheckerboardCopula):
         work[rows, perm] = cells
         for i in np.flatnonzero(cells <= _DUST).tolist():
             support[i, perm[i]] = False
-            adj[i].remove(perm[i])
+            adj[i] &= ~(1 << perm[i])
         terms.append((theta * n, tuple(perm)))
     total = sum(w for w, _ in terms)
     return tuple((w / total, perm) for w, perm in terms)
@@ -223,6 +232,7 @@ def maximize_convex(
         raise DomainError(
             f"interior_samples and midpoint_checks must be >= 0, got {samples} and {checks}"
         )
+    seed = _checked_seed(seed)
     best_val = None
     best_perm = None
     perms = itertools.permutations(range(n))

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, _checked_order, fit_uniform_margins
+from .copulas import CheckerboardCopula, _checked_order, _checked_seed, fit_uniform_margins
 from .errors import (
     CompatibilityError,
     ConfigurationError,
@@ -526,6 +526,7 @@ def continuity_probe(
                 f"perturbation size {eps!r} outside [0, 1); the copula tensor "
                 "would lose positivity after renormalization"
             )
+    seed = _checked_seed(seed)
     target_fdd = _joint_family(copula, marginals)
     rng = np.random.default_rng(seed)
     cop_dir = rng.uniform(-1.0, 1.0, size=copula.mass.shape)
