@@ -10,10 +10,12 @@ spanning tree rooted at the first row, the solver's only state: each other
 node carries its parent arc's flow, and a pivot moves the subtree cut off by
 the leaving arc, flows and all, and re-prices only that subtree, writing its
 potentials into the one buffer of doubles that numpy prices in place.  The
-plan is written once, after the last pivot; the result counts the pivots,
-the degenerate ones, and whether the lowest-index rule took over.
+solver writes its plan once, after the last pivot; the result counts the
+pivots, the degenerate ones, and whether the lowest-index rule took over.
 :func:`transport_plan` solves only the difference of the two measures and
-returns the certified plan and dual potentials of the full problem.  In
+returns the certified plan and dual potentials of the full problem.  Its
+result keeps the plan as its support and the cost as the two supports'
+coordinate matrices, and builds both m x n arrays on each access.  In
 floating point ``phi`` rounds every ``|x|`` above about ``1e16`` to 0 or 1,
 so the distances are pseudometrics.
 
@@ -85,33 +87,87 @@ _PIVOT_BUDGET_PER_NODE = 100
 _DEGENERATE_SLACK = 50
 
 
-@dataclass(eq=False)
 class TransportResult:
-    """Optimal plan, value, and dual certificate of one transport solve."""
+    """Optimal plan, value, and dual certificate of one transport solve.
 
-    value: float
-    plan: np.ndarray
-    row_potentials: np.ndarray
-    col_potentials: np.ndarray
-    row_masses: np.ndarray
-    col_masses: np.ndarray
-    cost: np.ndarray
-    pivots: int
-    #: pivots that moved no flow; whether the lowest-index entering rule took over
-    degenerate_pivots: int = 0
-    lowest_index_rule: bool = False
+    Built as ``TransportResult(value, plan, row_potentials, col_potentials,
+    row_masses, col_masses, cost, pivots, degenerate_pivots=0,
+    lowest_index_rule=False)`` it stores ``plan`` and ``cost`` as given.  A
+    result of :func:`transport_plan` keeps the plan as its support (the flat
+    indices and values of the entries whose bits are not zero, so a ``-0.0``
+    survives) and the cost as the two supports' phi coordinates, O((m + n) d)
+    numbers where the matrices hold m n each.  ``plan`` and ``cost`` then
+    build fresh C-contiguous m x n arrays on each access, so a caller who
+    reads them often should keep the array.
+    """
+
+    def __init__(
+        self,
+        value: float,
+        plan: np.ndarray,
+        row_potentials: np.ndarray,
+        col_potentials: np.ndarray,
+        row_masses: np.ndarray,
+        col_masses: np.ndarray,
+        cost: np.ndarray,
+        pivots: int,
+        degenerate_pivots: int = 0,
+        lowest_index_rule: bool = False,
+    ):
+        self.value = value
+        self._plan, self._cost = plan, cost
+        self.row_potentials, self.col_potentials = row_potentials, col_potentials
+        self.row_masses, self.col_masses = row_masses, col_masses
+        self.pivots = pivots
+        #: pivots that moved no flow; whether the lowest-index entering rule took over
+        self.degenerate_pivots = degenerate_pivots
+        self.lowest_index_rule = lowest_index_rule
+
+    @property
+    def plan(self) -> np.ndarray:
+        if self._plan is not None:
+            return self._plan
+        m, n = self.row_masses.size, self.col_masses.size
+        plan = np.zeros(m * n)
+        plan[self._support] = self._support_mass
+        return plan.reshape(m, n)
+
+    @property
+    def cost(self) -> np.ndarray:
+        if self._cost is not None:
+            return self._cost
+        return _max_cost(self._cols_a, self._cols_b)
 
     def feasibility_deviation(self) -> float:
-        row = float(np.max(np.abs(self.plan.sum(axis=1) - self.row_masses)))
-        col = float(np.max(np.abs(self.plan.sum(axis=0) - self.col_masses)))
-        return max(row, col)
+        return _feasibility_deviation(self.plan, self.row_masses, self.col_masses)
 
     def slackness_deviation(self) -> float:
-        rc = self.cost - self.row_potentials[:, None] - self.col_potentials[None, :]
-        dual_feas = max(0.0, float(-rc.min()))
-        on_support = np.abs(rc[self.plan > 1e-14])
-        comp = float(on_support.max()) if on_support.size else 0.0
-        return max(dual_feas, comp)
+        return _slackness_deviation(self.plan, self.cost, self.row_potentials, self.col_potentials)
+
+
+def _feasibility_deviation(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    row = float(np.max(np.abs(plan.sum(axis=1) - a)))
+    col = float(np.max(np.abs(plan.sum(axis=0) - b)))
+    return max(row, col)
+
+
+def _slackness_deviation(plan: np.ndarray, cost: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    rc = cost - u[:, None] - v[None, :]
+    dual_feas = max(0.0, float(-rc.min()))
+    on_support = np.abs(rc[plan > 1e-14])
+    comp = float(on_support.max()) if on_support.size else 0.0
+    return max(dual_feas, comp)
+
+
+def _max_cost(cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
+    """Max-norm distances between the points of ``(d, m)`` and ``(d, n)`` coordinates.
+
+    Built axis by axis: a maximum is exact, and no (m, n, d) temporary is made.
+    """
+    cost = np.abs(np.subtract.outer(cols_a[0], cols_b[0]))
+    for xa, xb in zip(cols_a[1:], cols_b[1:]):
+        np.maximum(cost, np.abs(np.subtract.outer(xa, xb)), out=cost)
+    return cost
 
 
 def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> TransportResult:
@@ -273,11 +329,8 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     swap = (pb.tobytes(), mb.tobytes()) < (pa.tobytes(), ma.tobytes())
     if swap:
         pa, ma, pb, mb = pb, mb, pa, ma
-    # the max-norm cost axis by axis: a maximum is exact, and no (m, n, d) temporary is made
     cols_a, cols_b = np.ascontiguousarray(pa.T), np.ascontiguousarray(pb.T)
-    cost = np.abs(np.subtract.outer(cols_a[0], cols_b[0]))
-    for xa, xb in zip(cols_a[1:], cols_b[1:]):
-        np.maximum(cost, np.abs(np.subtract.outer(xa, xb)), out=cost)
+    cost = _max_cost(cols_a, cols_b)
     m, n = cost.shape
     plan = np.zeros((m, n))
     ra, rb = ma.tolist(), mb.tolist()
@@ -303,15 +356,25 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
         v[cols] = reduced.col_potentials
         value, pivots = reduced.value, reduced.pivots
         degenerate, bland = reduced.degenerate_pivots, reduced.lowest_index_rule
-    if swap:
-        plan, cost, u, v, ma, mb = plan.T.copy(), cost.T.copy(), v, u, mb, ma
-    result = TransportResult(value, plan, u, v, ma, mb, cost, pivots, degenerate, bland)
-    deviation = result.feasibility_deviation()
+    # the certificate runs on the dense arrays of the solved orientation
+    deviation = _feasibility_deviation(plan, ma, mb)
     if deviation > _FEASIBILITY_TOL:
         raise InternalError(f"transport plan infeasible by {deviation!r}")
-    deviation = result.slackness_deviation()
+    deviation = _slackness_deviation(plan, cost, u, v)
     if deviation > _SLACKNESS_TOL:
         raise InternalError(f"transport duals violate slackness by {deviation!r}")
+    # the result keeps every entry whose bits are not zero and the coordinates;
+    # |x - y| = |y - x| exactly, so a swapped call's cost is rebuilt with the
+    # roles exchanged and is the exact transpose
+    support = np.flatnonzero(plan.view(np.uint64))
+    support_mass = plan.ravel()[support]
+    if swap:
+        rows_of, cols_of = np.divmod(support, n)
+        support = cols_of * m + rows_of
+        cols_a, cols_b, u, v, ma, mb = cols_b, cols_a, v, u, mb, ma
+    result = TransportResult(value, None, u, v, ma, mb, None, pivots, degenerate, bland)
+    result._support, result._support_mass = support, support_mass
+    result._cols_a, result._cols_b = cols_a, cols_b
     return result
 
 
@@ -514,8 +577,10 @@ def continuity_probe(
 
     A fixed random direction (from ``seed``) perturbs the copula tensor
     multiplicatively (then margins are refitted to uniform) and each
-    marginal's masses, drawn in :func:`canonical_labels` order, so relabeling
-    that keeps the order keeps the report; for every ``eps`` in the schedule the
+    marginal's masses, drawn in :func:`canonical_labels` order; the input
+    distance adds the marginals' terms in that order too, so relabeling that
+    keeps the order, or a mapping in another insertion order, keeps the
+    report bit for bit.  For every ``eps`` in the schedule the
     perturbed pair is composed and the distance between the perturbed and target
     joint families is reported next to the input-side distance.  Output
     distances shrink with the schedule and vanish at ``eps = 0``.
@@ -530,9 +595,10 @@ def continuity_probe(
     target_fdd = _joint_family(copula, marginals)
     rng = np.random.default_rng(seed)
     cop_dir = rng.uniform(-1.0, 1.0, size=copula.mass.shape)
+    labels = canonical_labels(marginals)
     marg_dirs = {
         lab: rng.uniform(-1.0, 1.0, size=(len(m.xs) if m.kind == ATOMIC else len(m.xs) - 1))
-        for lab, m in ((lab, marginals[lab]) for lab in canonical_labels(marginals))
+        for lab, m in ((lab, marginals[lab]) for lab in labels)
     }
     steps = []
     for eps in epsilons:
@@ -550,8 +616,8 @@ def continuity_probe(
                 for lab, m in marginals.items()
             }
         input_dist = transport_distance(pert_copula, copula)
-        for lab, m in marginals.items():
-            input_dist += w1_one_dim(pert_marginals[lab], m)
+        for lab in labels:
+            input_dist += w1_one_dim(pert_marginals[lab], marginals[lab])
         out = fdd_distance(_joint_family(pert_copula, pert_marginals), target_fdd, config)
         steps.append(ContinuityStep(eps, float(input_dist), float(out)))
     return ContinuityReport(tuple(steps))
