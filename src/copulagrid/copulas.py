@@ -56,11 +56,14 @@ class CheckerboardCopula(GridMeasure):
 
 
 def _whole_number(value, name: str) -> int:
-    """``value`` as an int; anything but a whole number (``"3"`` and ``3.0``
-    are, ``True``, ``np.True_``, ``2.9`` and ``nan`` are not) raises :class:`DomainError`."""
+    """``value`` as an int; anything but a whole number (``"3"``, ``3.0`` and
+    ``2**53 + 1`` are, ``True``, ``np.True_``, ``2.9``, ``"3.0"`` and ``nan`` are
+    not) raises :class:`DomainError`."""
     try:
         n = int(value)
-        whole = n == float(value) and not isinstance(value, (bool, np.bool_))
+        # int() reads a string exactly or raises; a number must equal its int
+        exact = n == value or isinstance(value, (str, bytes))
+        whole = exact and not isinstance(value, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:

@@ -51,7 +51,9 @@ def decode_float(s) -> float:
         value = float(s)
     except ValueError:
         raise ParseError(f"not a decimal number: {s!r}") from None
-    if not math.isfinite(value):
+    if math.isnan(value):
+        raise ParseError(f"NaN is not a valid number, got {s!r}")
+    if math.isinf(value):
         raise ParseError(f"infinities must be spelled '+inf'/'-inf', got {s!r}")
     return value
 

@@ -1,10 +1,16 @@
-"""Shared random generators and brute-force oracles for the test suite."""
+"""Shared random generators, brute-force oracles and runners for the test suite."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from copulagrid import Marginal, TensorMeasure
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "copulagrid"
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -89,3 +95,18 @@ def brute_marginalize(t, labels):
     for idx in np.ndindex(t.mass.shape):
         out[tuple(idx[ax] for ax in keep)] += t.mass[idx]
     return out
+
+
+def sources():
+    """Name and text of each module in ``src/copulagrid``."""
+    found = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert "measures.py" in found, SRC
+    return found
+
+
+def run_cli(*argv, cwd, **env):
+    """``python -m copulagrid.cli *argv`` in ``cwd`` on ``src``, with ``env`` added to the
+    environment; a process that hangs fails its test after 60 s."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent), **env}
+    cmd = [sys.executable, "-m", "copulagrid.cli", *argv]
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, timeout=60)

@@ -1,6 +1,6 @@
 """Birkhoff rounds that keep their support: the same terms as rebuilding it every round.
 
-``birkhoff_decompose`` builds the support mask and its per-row column bitmasks
+``birkhoff_decompose`` builds the support mask and one column bitmask per row
 once and drops, after each subtraction, the cells of the permutation that
 fell to ``_DUST`` or below.  These cases make several cells leave in one
 round, cells sit just above ``_DUST``, and minima tie; the terms must equal

@@ -23,6 +23,7 @@ from copulagrid import (
     random_copula,
 )
 from copulagrid.copulas import _bounds
+from helpers import sources
 
 
 def searched_copulas():
@@ -102,3 +103,8 @@ def test_cached_cell_boundaries_cannot_be_reopened(n):
     assert_frozen(bounds)
     assert_frozen(bounds[1:])
     assert _bounds(n) is bounds and bounds.tolist() == [k / n for k in range(n + 1)]
+
+
+def test_no_module_calls_setflags():
+    # measures._frozen is the one freezer: a setflags call elsewhere may leave an array reopenable
+    assert [name for name, text in sources().items() if "setflags(" in text] == []

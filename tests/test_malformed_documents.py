@@ -114,6 +114,21 @@ def test_validate_exits_cleanly(capsys, tmp_path, name):
     assert "Traceback" not in captured.err
 
 
+NAN = "NaN is not a valid number"
+INF = "infinities must be spelled '+inf'/'-inf'"
+
+
+@pytest.mark.parametrize(
+    "spelling, refusal",
+    [("nan", NAN), ("NaN", NAN), ("-nan", NAN), ("inf", INF), ("Infinity", INF), ("1e400", INF)],
+)
+def test_a_number_that_is_not_finite_is_refused_by_its_kind(capsys, tmp_path, spelling, refusal):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_tensor(labels=[0], grid=[[spelling]], mass=["1"])))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"parse error: {refusal}, got {spelling!r}\n"
+
+
 def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "doc.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")

@@ -19,8 +19,10 @@ from copulagrid import (
 )
 from copulagrid.cli import main
 from copulagrid.copulas import _checked_seed
+from helpers import run_cli
 
-BAD_SEEDS = [-1, -(2**70), 1.5, float("nan"), "x", None, True, False, np.True_, [1]]
+BAD_SEEDS = [-1, -(2**70), 1.5, float("inf"), float("nan"), "x", "2.5", "3.0"]
+BAD_SEEDS += [None, True, False, np.True_, [1]]
 
 
 @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
@@ -30,6 +32,9 @@ def test_bad_seeds_are_refused(seed):
 
 
 WHOLE_SEEDS = [(0, 0), (7, 7), (np.int64(3), 3), (3.0, 3), ("3", 3), (2**70, 2**70)]
+# whole numbers that no float holds
+WHOLE_SEEDS += [(2**53 + 1, 2**53 + 1), (np.int64(2**53 + 1), 2**53 + 1)]
+WHOLE_SEEDS += [(10**20 + 1, 10**20 + 1), ("100000000000000000001", 10**20 + 1)]
 
 
 @pytest.mark.parametrize("seed, value", WHOLE_SEEDS)
@@ -78,10 +83,23 @@ def test_continuity_probe_refuses_a_bad_seed_before_building_the_target():
         (["compact-demo", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["extremal", "--order", "-1"], "order must be >= 1, got -1"),
         (["extremal", "--order", "0", "--functional", "max_cell"], "order must be >= 1, got 0"),
+        (["extremal", "--order", "9"], "exhaustive enumeration is limited to order <= 8"),
+        (
+            ["extremal", "--samples", "-1"],
+            "interior_samples and midpoint_checks must be >= 0, got -1 and 16",
+        ),
+        (["compact-demo", "--eps", "-1"], "eps must be positive"),
     ],
 )
-def test_the_cli_refuses_with_exit_2(capsys, argv, message):
+def test_the_cli_refuses_with_exit_2(capsys, tmp_path, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"validation error: {message}\n"
+    proc = run_cli(*argv, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", captured.err)
+
+
+def test_the_cli_takes_a_seed_no_float_holds(tmp_path):
+    proc = run_cli("extremal", "--order", "3", "--seed", str(2**53 + 1), cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")

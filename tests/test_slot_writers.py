@@ -32,6 +32,7 @@ from copulagrid import (
 from copulagrid.copulas import _views
 from copulagrid.extremal import _permutation_copulas
 from copulagrid.measures import _Immutable, _same, _Value
+from helpers import sources
 from reference_extremal import permutation_copula as reference_permutation
 
 
@@ -137,6 +138,11 @@ def test_every_builder_gives_the_same_slots(cls):
             assert_refuses_writes(twin)
     for obj in (original, built, *batch):
         assert_refuses_writes(obj)
+
+
+def test_only_measures_reads_the_slot_setters():
+    # measures._Immutable is the one owner of slot writing
+    assert [name for name, text in sources().items() if "_slot_setters" in text] == ["measures.py"]
 
 
 def test_a_batch_of_none_is_empty():

@@ -48,6 +48,8 @@ NOT_WHOLE = {
     "false": (False, "False"),
     "text": ("abc", "'abc'"),
     "fraction text": ("2.5", r"'2\.5'"),
+    "decimal text": ("3.0", r"'3\.0'"),
+    "numpy true": (np.True_, "np.True_"),
     "infinity": (float("inf"), "inf"),
     "nan": (float("nan"), "nan"),
     "list": ([2], r"\[2\]"),
