@@ -187,7 +187,10 @@ def cmd_distance(args) -> int:
             raise CompatibilityError("family distances need two family_spec files")
         if not args.fdd:
             raise CompatibilityError("comparing families requires --fdd")
-        value = fdd_distance(a, b, FddMetricConfig(depth=args.depth))
+        config = FddMetricConfig() if args.depth is None else FddMetricConfig(depth=args.depth)
+        value = fdd_distance(a, b, config)
+    elif args.fdd or args.depth is not None:
+        raise CompatibilityError("--fdd and --depth compare two family_spec files only")
     elif isinstance(a, dict) or isinstance(b, dict):
         if not (isinstance(a, dict) and isinstance(b, dict)):
             raise CompatibilityError("marginal distances need two marginal files")
@@ -295,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--fdd", action="store_true", help="compare family_spec files")
-    p.add_argument("--depth", type=int, default=7)
+    p.add_argument("--depth", type=int, help="canonical subsets --fdd compares (default 7)")
     p.set_defaults(handler=cmd_distance)
 
     p = sub.add_parser("compact-demo", help="greedy clustering of a random copula sequence")

@@ -7,11 +7,14 @@ transportation problem by the network simplex method with fully
 deterministic pivoting (north-west corner start, most negative reduced cost,
 lowest-index tie-breaks, lowest-index anti-cycling fallback).  The basis is a
 spanning tree rooted at the first row, the solver's only state: each other
-node carries its parent arc's flow, and a pivot moves the subtree cut off by
-the leaving arc, flows and all, and re-prices only that subtree, writing its
-potentials into the one buffer of doubles that numpy prices in place.  The
-solver writes its plan once, after the last pivot; the result counts the
-pivots, the degenerate ones, and whether the lowest-index rule took over.
+node carries its parent arc's flat cell, cost and flow, and a pivot moves the
+subtree cut off by the leaving arc, handing the arcs down the re-rooted chain,
+and re-prices only that subtree, writing its potentials into the one buffer
+of doubles that numpy prices in place.  Costs are read once per node, then
+once per pivot, so outside its pivots a call costs one pass over the nodes
+and a few numpy calls per step.  The solver writes its plan with one store
+after the last pivot; the result counts the pivots, the degenerate ones, and
+whether the lowest-index rule took over.
 :func:`transport_plan` solves only the difference of the two measures and
 returns the certified plan and dual potentials of the full problem.  Its
 result keeps the plan as its support and the cost as the two supports'
@@ -52,12 +55,17 @@ from .projective import (
 from .sklar import compose, discretize_joint
 
 
+def _phi(x: float) -> float:
+    # the formula's one owner; callers with checked floats map through it directly
+    return 0.5 + math.atan(x) / math.pi
+
+
 def phi(x: float) -> float:
     """Strictly increasing map of the extended line onto ``[0, 1]``."""
     x = _as_float(x, "phi argument")
     if math.isnan(x):
         raise DomainError("phi argument must not be NaN")
-    return 0.5 + math.atan(x) / math.pi
+    return _phi(x)
 
 
 def phi_inv(t: float) -> float:
@@ -146,17 +154,15 @@ class TransportResult:
 
 
 def _feasibility_deviation(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    row = float(np.max(np.abs(plan.sum(axis=1) - a)))
-    col = float(np.max(np.abs(plan.sum(axis=0) - b)))
-    return max(row, col)
+    row = abs(plan.sum(axis=1) - a).max()
+    col = abs(plan.sum(axis=0) - b).max()
+    return float(max(row, col))
 
 
 def _slackness_deviation(plan: np.ndarray, cost: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    rc = cost - u[:, None] - v[None, :]
-    dual_feas = max(0.0, float(-rc.min()))
-    on_support = np.abs(rc[plan > 1e-14])
-    comp = float(on_support.max()) if on_support.size else 0.0
-    return max(dual_feas, comp)
+    rc = cost - u[:, None] - v
+    # dual feasibility, then complementary slackness on the support
+    return float(max(0.0, -rc.min(), abs(rc[plan > 1e-14]).max(initial=0.0)))
 
 
 def _max_cost(cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
@@ -173,18 +179,21 @@ def _max_cost(cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
 def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> TransportResult:
     m, n = cost.shape
     # the basis is a spanning tree over rows 0..m-1 and columns m..m+n-1,
-    # rooted at row 0 and kept between pivots; each other node carries the flow
-    # of its arc to its parent, and the plan is written once after the last
-    # pivot.  The north-west corner lays the tree out as a staircase, each new
-    # node hanging from the previous one, the first (column 0) from row 0
+    # rooted at row 0 and kept between pivots; each other node carries its arc
+    # to its parent: the arc's flat cell i * n + j, its cost and its flow.
+    # The north-west corner lays the tree out as a staircase, each new node
+    # (row i or column j, just stepped) hanging by cell (i, j) from the
+    # cell's other end, the first (column 0) from row 0
     ra, rb = a.tolist(), b.tolist()
     parent = [0] * (m + n)
     flow = [0.0] * (m + n)
+    cell = [0] * (m + n)
     children = [[] for _ in range(m + n)]
     children[0].append(m)
     node, i, j = m, 0, 0
     while True:
         flow[node] = amt = min(ra[i], rb[j])
+        cell[node] = i * n + j
         ra[i] -= amt
         rb[j] -= amt
         if i == m - 1 and j == n - 1:
@@ -201,12 +210,8 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
     pot = array("d", [0.0] * (m + n))
     potential = np.frombuffer(pot)
     u, v, ucol = potential[:m], potential[m:], potential[:m, None]
-    # arc_cost[k][p]: the cost of the arc between node k and its parent p
-    arc_cost = [[0.0] * m + row for row in cost.tolist()] + cost.T.tolist()
-
-    def arc(node):
-        up = parent[node]
-        return (node, up - m) if node < m else (up, node - m)
+    # the arcs' costs, read once; a pivot hands them down the re-rooted chain
+    arc_cost = cost.take(cell).tolist()
 
     def hang(stack):
         # a node's potential is its arc cost less its parent's potential, so
@@ -215,7 +220,7 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
         for node in stack:
             up = parent[node]
             depth[node] = depth[up] + 1
-            pot[node] = arc_cost[node][up] - pot[up]
+            pot[node] = arc_cost[node] - pot[up]
             stack += children[node]
 
     # the staircase can hang several columns from row 0: price them all
@@ -253,7 +258,7 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
         cycle = left + right[::-1]
         losing = cycle[0::2]
         least = min([flow[k] for k in losing])
-        leaving = min([k for k in losing if flow[k] == least], key=arc)
+        leaving = min([k for k in losing if flow[k] == least], key=cell.__getitem__)
         theta = flow[leaving]
         for k in losing:
             flow[k] -= theta
@@ -261,18 +266,21 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
             flow[k] += theta
         # cut the subtree below the leaving arc, re-root it at the entering
         # end inside it, and hang it from the entering end outside it; down
-        # the chain each node hands its flow to the next, the first takes theta
+        # the chain each node hands its arc (flow, cell and cost) to the next,
+        # and the first takes the entering arc, with theta
         at = cycle.index(leaving)
         if at < len(left):
             chain, outside = left[: at + 1], m + ej
         else:
             chain, outside = right[: len(cycle) - at], ei
-        handed = theta
+        handed, handed_cell, handed_cost = theta, flat, cost.item(flat)
         for node in chain:
             children[parent[node]].remove(node)
             parent[node] = outside
             children[outside].append(node)
             flow[node], handed = handed, flow[node]
+            cell[node], handed_cell = handed_cell, cell[node]
+            arc_cost[node], handed_cost = handed_cost, arc_cost[node]
             outside = node
         hang([chain[0]])
         pivots += 1
@@ -284,22 +292,18 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
         else:
             degenerate_run = 0
     plan = np.zeros((m, n))
-    for node in range(1, m + n):
-        plan[arc(node)] = flow[node]
-    value = float(np.sum(cost * plan))
+    plan.put(cell[1:], flow[1:])
+    value = float((cost * plan).sum())
     return TransportResult(
         value, plan, u.copy(), v.copy(), a, b, cost, pivots, degenerate, blands_rule
     )
 
 
 def _support(t: GridMeasure):
-    """Coordinates (in phi space) and masses of the strictly positive nodes."""
-    axes = [np.array([phi(x) for x in axis.tolist()]) for axis in t.grid]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in mesh], axis=1)
-    masses = t.mass.ravel()
-    keep = masses > 0.0
-    return coords[keep], masses[keep]
+    """Phi-space coordinates ``(k, d)``, a transposed C array, and masses of the positive nodes."""
+    keep = t.mass > 0.0
+    axes = [np.array(list(map(_phi, axis.tolist()))) for axis in t.grid]
+    return np.array([axis[k] for axis, k in zip(axes, keep.nonzero())]).T, t.mass[keep]
 
 
 def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
@@ -329,7 +333,7 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     swap = (pb.tobytes(), mb.tobytes()) < (pa.tobytes(), ma.tobytes())
     if swap:
         pa, ma, pb, mb = pb, mb, pa, ma
-    cols_a, cols_b = np.ascontiguousarray(pa.T), np.ascontiguousarray(pb.T)
+    cols_a, cols_b = pa.T, pb.T
     cost = _max_cost(cols_a, cols_b)
     m, n = cost.shape
     plan = np.zeros((m, n))
@@ -337,21 +341,25 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     twin = [0] * n
     # greedy over the pairs exhausts one side of every point, also where
     # phi maps distinct grid points to one coordinate
-    for i, j in np.argwhere(cost == 0.0).tolist():
-        shared = min(ra[i], rb[j])
-        plan[i, j] = shared
-        ra[i] -= shared
-        rb[j] -= shared
+    zi, zj = (cost == 0.0).nonzero()
+    shared = []
+    for i, j in zip(zi.tolist(), zj.tolist()):
+        amt = min(ra[i], rb[j])
+        shared.append(amt)
+        ra[i] -= amt
+        rb[j] -= amt
         twin[j] = i
+    plan[zi, zj] = shared
     ra, rb = np.array(ra), np.array(rb)
-    rows, cols = np.flatnonzero(ra > 0.0), np.flatnonzero(rb > 0.0)
+    (rows,), (cols,) = (ra > 0.0).nonzero(), (rb > 0.0).nonzero()
     u, v = np.zeros(m), np.zeros(n)
     value, pivots, degenerate, bland = 0.0, 0, 0, False
     # residual mass on one side only is rounding, below MASS_TOL: nothing to move
     if rows.size and cols.size:
-        reduced = _solve_transport(ra[rows], rb[cols], cost[np.ix_(rows, cols)])
-        plan[np.ix_(rows, cols)] += reduced.plan
-        u = np.min(cost[:, cols] - reduced.col_potentials, axis=1)
+        block = rows[:, None], cols
+        reduced = _solve_transport(ra[rows], rb[cols], cost[block])
+        plan[block] += reduced.plan
+        u = (cost[:, cols] - reduced.col_potentials).min(axis=1)
         v = -u[twin]
         v[cols] = reduced.col_potentials
         value, pivots = reduced.value, reduced.pivots
@@ -366,10 +374,11 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     # the result keeps every entry whose bits are not zero and the coordinates;
     # |x - y| = |y - x| exactly, so a swapped call's cost is rebuilt with the
     # roles exchanged and is the exact transpose
-    support = np.flatnonzero(plan.view(np.uint64))
-    support_mass = plan.ravel()[support]
+    flat = plan.ravel()
+    (support,) = flat.view(np.uint64).nonzero()
+    support_mass = flat[support]
     if swap:
-        rows_of, cols_of = np.divmod(support, n)
+        rows_of, cols_of = divmod(support, n)
         support = cols_of * m + rows_of
         cols_a, cols_b, u, v, ma, mb = cols_b, cols_a, v, u, mb, ma
     result = TransportResult(value, None, u, v, ma, mb, None, pivots, degenerate, bland)
@@ -583,7 +592,9 @@ def continuity_probe(
     report bit for bit.  For every ``eps`` in the schedule the
     perturbed pair is composed and the distance between the perturbed and target
     joint families is reported next to the input-side distance.  Output
-    distances shrink with the schedule and vanish at ``eps = 0``.
+    distances shrink with the schedule and vanish at ``eps = 0``.  A
+    marginal for a label outside the copula's would only add to the input
+    distance, so it is refused.
     """
     for eps in epsilons:
         if not (_real_number(eps) and 0.0 <= eps < 1.0):
@@ -596,6 +607,9 @@ def continuity_probe(
     rng = np.random.default_rng(seed)
     cop_dir = rng.uniform(-1.0, 1.0, size=copula.mass.shape)
     labels = canonical_labels(marginals)
+    unread = [lab for lab in labels if lab not in copula.labels]
+    if unread:
+        raise ConfigurationError(f"marginals for labels {unread!r} that the copula does not read")
     marg_dirs = {
         lab: rng.uniform(-1.0, 1.0, size=(len(m.xs) if m.kind == ATOMIC else len(m.xs) - 1))
         for lab, m in ((lab, marginals[lab]) for lab in labels)

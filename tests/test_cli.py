@@ -253,6 +253,10 @@ class TestDistanceCommand:
         code, out, _ = run(capsys, "distance", f, g, "--fdd", "--depth", "3")
         assert code == 0
         assert float(out.strip()) > 0.0
+        # an unset depth compares the first seven canonical subsets, not one
+        unset = run(capsys, "distance", f, g, "--fdd")
+        assert unset == run(capsys, "distance", f, g, "--fdd", "--depth", "7")
+        assert unset != run(capsys, "distance", f, g, "--fdd", "--depth", "1")
 
     def test_incompatible_kinds_exit_three(self, capsys, tmp_path):
         t = write(

@@ -127,6 +127,18 @@ INCOMPATIBLE = {
         ("distance", "one marginal", "copula"),
         "marginal distances need two marginal files",
     ),
+    "distance copulas with fdd and depth": (
+        ("distance", "copula", "copula", "--fdd", "--depth", "0"),
+        "--fdd and --depth compare two family_spec files only",
+    ),
+    "distance copula and tensor with depth": (
+        ("distance", "copula", "tensor", "--depth", "3"),
+        "--fdd and --depth compare two family_spec files only",
+    ),
+    "distance marginals with fdd": (
+        ("distance", "one marginal", "one marginal", "--fdd"),
+        "--fdd and --depth compare two family_spec files only",
+    ),
 }
 
 

@@ -1,6 +1,12 @@
-"""`tools/digest.py` runs every workload at smoke sizes and repeats its hash."""
+"""`tools/digest.py` runs every workload at smoke sizes and repeats its hash.
+
+Given two trees, it hashes each in a process of its own and says whether
+they agree: a checkout against itself is equal, and against a copy whose
+``phi`` formula was changed it differs.
+"""
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +37,32 @@ def test_digest_is_one_hash_and_repeats(workload):
     assert listed[-1] == once[0]
     assert len(listed) > 2 and all(line.split()[0] in ("1", "2") for line in listed[:-1])
     assert digest(workload, "--seeds", "2")[0] != once[0]
+
+
+def compare(*trees):
+    argv = [sys.executable, "tools/digest.py"]
+    for tree in trees:
+        argv += ["--src", str(tree)]
+    argv += ["--workload", "fdd-transport", "--smoke", "--seeds", "1"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout.splitlines()
+
+
+def test_a_tree_compared_with_itself_is_equal():
+    code, lines = compare(".", ".")
+    assert code == 0 and len(lines) == 3 and lines[-1] == "equal"
+    once = digest("fdd-transport", "--seeds", "1")[0]
+    assert [line.split() for line in lines[:2]] == [[once, "."], [once, "."]]
+
+
+def test_a_seeded_change_in_phi_differs(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    topology = tmp_path / "src" / "copulagrid" / "topology.py"
+    text = topology.read_text()
+    formula = "0.5 + math.atan(x) / math.pi"
+    assert text.count(formula) == 1
+    topology.write_text(text.replace(formula, "0.5 + math.atan(1.5 * x) / math.pi"))
+    code, lines = compare(".", tmp_path)
+    assert code == 1 and len(lines) == 3 and lines[-1] == "differ"
+    (ours, _), (theirs, tree) = (line.split() for line in lines[:2])
+    assert ours != theirs and tree == str(tmp_path)

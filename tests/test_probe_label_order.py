@@ -2,7 +2,9 @@
 
 Relabeling the axes in a way that keeps their order keeps the report bit for
 bit, also where ``str`` order differs (``10`` sorts before ``2`` as text).
-Marginal keys that cannot be ordered are refused like any other label set.
+Marginal keys that cannot be ordered are refused like any other label set,
+and so are marginals for labels the copula does not have, after the missing
+and the unorderable ones.
 """
 
 import numpy as np
@@ -58,3 +60,19 @@ def test_missing_marginals_are_named_before_any_label_is_ordered(marginals):
     copula = CheckerboardCopula((0, 1), 2, np.full((2, 2), 0.25))
     with pytest.raises(ConfigurationError, match="^marginals missing for labels "):
         continuity_probe(copula, marginals, [0.1])
+
+
+@pytest.mark.parametrize("extra", [{7: COIN}, {-1: COIN, 7: ATOMS}])
+def test_marginals_the_copula_never_reads_are_refused(extra):
+    copula = random_copula((0, 1), 3, np.random.default_rng(5))
+    marginals = {0: ATOMS, 1: KNOTS, **extra}
+    with pytest.raises(ConfigurationError) as refusal:
+        continuity_probe(copula, marginals, SCHEDULE, seed=3)
+    unread = sorted(extra)
+    assert str(refusal.value) == f"marginals for labels {unread!r} that the copula does not read"
+
+
+def test_missing_marginals_are_named_before_unread_ones():
+    copula = CheckerboardCopula((0, 1), 2, np.full((2, 2), 0.25))
+    with pytest.raises(ConfigurationError, match="^marginals missing for labels "):
+        continuity_probe(copula, {1: KNOTS, 7: COIN}, [0.1])

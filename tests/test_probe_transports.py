@@ -1,0 +1,92 @@
+"""The transports a continuity probe solves, pinned bit for bit with their pivot counts.
+
+A probe transports an order-4 copula against its perturbation, and the 1-d
+and 2-d members of the composed joint family against those of the perturbed
+pair, with 6-atom marginals whose end atoms sit at ``-inf`` and ``+inf``.
+Each pair is solved in both argument orders and hashed with everything the
+result reports: the value, the arrays, and the pivot counts and the
+lowest-index flag, which ``test_compact_transport``'s digests leave out.  The
+digest was recorded before the solver's set-up was cut to a few numpy calls
+per call, so it pins that the same pivots give the same bits.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+
+from copulagrid import (
+    CheckerboardCopula,
+    Marginal,
+    canonical_subsets,
+    family_member,
+    fit_uniform_margins,
+    random_copula,
+    transport_plan,
+)
+from copulagrid.topology import _joint_family, _perturb_marginal
+
+ARRAYS = ("plan", "cost", "row_potentials", "col_potentials", "row_masses", "col_masses")
+EPSILONS = (0.25, 0.125, 0.0625, 0.0)
+
+#: SHA-256 of the corpus's results, recorded from the solver with per-call arc-cost tables
+PINNED = "00a0fa06241c4532efff6935cfc93cd4ccca645b800dc92317cc44c42ee7849d"
+
+
+def six_atoms(rng):
+    finite = np.cumsum(rng.uniform(0.1, 1.0, size=4)) - 1.65
+    xs = [-math.inf, *finite.tolist(), math.inf]
+    return Marginal.atomic(list(zip(xs, rng.dirichlet(np.ones(6)).tolist())))
+
+
+def probe_pairs(seed):
+    """The pairs one probe of ``seed`` transports: copulas, then family members."""
+    rng = np.random.default_rng(seed)
+    copula = random_copula((0, 1), 4, rng)
+    marginals = {lab: six_atoms(rng) for lab in (0, 1)}
+    cop_dir = rng.uniform(-1.0, 1.0, size=copula.mass.shape)
+    marg_dirs = {lab: rng.uniform(-1.0, 1.0, size=6) for lab in marginals}
+    target = _joint_family(copula, marginals)
+    subsets = [tuple(s) for s, _ in zip(canonical_subsets(target.universe), range(3))]
+    pairs = []
+    for eps in EPSILONS:
+        mass = fit_uniform_margins(copula.mass * (1.0 + eps * cop_dir))
+        pert = CheckerboardCopula((0, 1), 4, mass)
+        pert_marginals = {
+            lab: _perturb_marginal(m, eps, marg_dirs[lab]) for lab, m in marginals.items()
+        }
+        family = _joint_family(pert, pert_marginals)
+        pairs.append((pert, copula))
+        pairs += [(family_member(family, s), family_member(target, s)) for s in subsets]
+    return pairs
+
+
+def corpus():
+    return [pair for seed in range(2800, 2810) for pair in probe_pairs(seed)]
+
+
+def result_digest(pairs):
+    h = hashlib.sha256()
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            res = transport_plan(x, y)
+            h.update(res.value.hex().encode())
+            counts = (res.pivots, res.degenerate_pivots, res.lowest_index_rule)
+            h.update(repr(counts).encode())
+            for name in ARRAYS:
+                arr = getattr(res, name)
+                h.update(repr(arr.shape).encode())
+                h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_the_corpus_spans_the_probe_shapes():
+    pairs = corpus()
+    assert {a.ndim for a, _ in pairs} == {1, 2}
+    assert any(isinstance(a, CheckerboardCopula) for a, _ in pairs)
+    assert any(a.grid[0][0] == -math.inf and a.grid[0][-1] == math.inf for a, _ in pairs)
+    assert sum(transport_plan(a, b).pivots for a, b in pairs) > 0
+
+
+def test_probe_transports_match_the_pinned_digest():
+    assert result_digest(corpus()) == PINNED

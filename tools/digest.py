@@ -13,6 +13,14 @@ repeats) goes into the hash.  Equal hashes for a parent and a change mean
 equal outputs, bit for bit, on every operation.  ``--list`` also prints each
 operation's digest, for a ``diff`` between trees; ``--smoke`` uses the
 workload's smoke sizes.
+
+To compare two trees, give ``--src`` twice::
+
+    python3 tools/digest.py --src PARENT --src CHANGE --workload fdd-transport --seeds 3 11 27
+
+Each tree is hashed in its own process, so the two never share an imported
+module.  Both hashes are printed, each with its tree, then ``equal`` or
+``differ``; the exit status is 1 when they differ and 2 when a tree fails.
 """
 
 import os
@@ -35,6 +43,7 @@ sys.dont_write_bytecode = True
 
 import argparse
 import hashlib
+import subprocess
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -42,7 +51,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--src", required=True, help="root of the checkout to import copulagrid from")
+    p.add_argument(
+        "--src",
+        required=True,
+        action="append",
+        help="root of the checkout to import copulagrid from; twice to compare two trees",
+    )
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--smoke", action="store_true", help="the workload's smoke sizes")
@@ -50,9 +64,35 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
+def compare(args) -> int:
+    """Hash each tree in a process of its own and say whether the hashes agree."""
+    flags = ["--workload", args.workload, "--seeds", *map(str, args.seeds)]
+    flags += ["--smoke"] * args.smoke + ["--list"] * args.list
+    hashes = []
+    for tree in args.src:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--src", tree, *flags], capture_output=True, text=True
+        )
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            return 2
+        *listed, digest = proc.stdout.splitlines()
+        for line in listed:
+            print(line)
+        print(f"{digest}  {tree}")
+        hashes.append(digest)
+    print("equal" if hashes[0] == hashes[1] else "differ")
+    return 0 if hashes[0] == hashes[1] else 1
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
-    src = Path(args.src).resolve() / "src"
+    if len(args.src) > 2:
+        print("--src compares at most two trees", file=sys.stderr)
+        return 2
+    if len(args.src) == 2:
+        return compare(args)
+    src = Path(args.src[0]).resolve() / "src"
     if not (src / "copulagrid" / "__init__.py").is_file():
         print(f"no copulagrid sources under {src}", file=sys.stderr)
         return 2
