@@ -137,9 +137,9 @@ def birkhoff_decompose(c: CheckerboardCopula):
     smallest positive entry and subtracts it, so each round removes at least
     that entry from the support; at most ``n**2 - 2*n + 2`` terms are
     produced.  Returns ``(weight, permutation)`` pairs with nonnegative
-    weights summing to one.  Cells only ever leave the support, so its mask
-    and per-row column bitmasks are built once and lose, after each round,
-    the cells of the subtracted permutation that fell to ``_DUST`` or below.
+    weights summing to one.  The support, the cells above ``_DUST``, only
+    ever loses cells, so its row bitmasks are built once and lose, after each
+    round, the subtracted permutation's cells that fell to ``_DUST`` or below.
     """
     if c.ndim != 2:
         raise CompatibilityError("decomposition applies to two-dimensional copulas")
@@ -149,12 +149,11 @@ def birkhoff_decompose(c: CheckerboardCopula):
     if dev > DOUBLY_STOCHASTIC_TOL:
         raise ValidationError(f"n * mass is not doubly stochastic (deviation {dev!r})")
     work = c.mass.copy()
-    support = work > _DUST
-    adj = _support_rows(support)
+    adj = _support_rows(work > _DUST)
     rows = np.arange(n)
     terms = []
     max_terms = n * n - 2 * n + 2
-    while float(work[support].sum()) > 1e-12:
+    while float(work[(support := work > _DUST)].sum()) > 1e-12:
         if len(terms) >= max_terms:
             raise InternalError("decomposition exceeded its term budget")
         flat = np.where(support.ravel(), work.ravel(), np.inf)
@@ -171,7 +170,6 @@ def birkhoff_decompose(c: CheckerboardCopula):
         cells -= theta
         work[rows, perm] = cells
         for i in np.flatnonzero(cells <= _DUST).tolist():
-            support[i, perm[i]] = False
             adj[i] &= ~(1 << perm[i])
         terms.append((theta * n, tuple(perm)))
     total = sum(w for w, _ in terms)

@@ -12,15 +12,15 @@ subtree cut off by the leaving arc, handing the arcs down the re-rooted chain,
 and re-prices only that subtree, writing its potentials into the one buffer
 of doubles that numpy prices in place.  Costs are read once per node, then
 once per pivot, so outside its pivots a call costs one pass over the nodes
-and a few numpy calls per step.  The solver writes its plan with one store
-after the last pivot; the result counts the pivots, the degenerate ones, and
-whether the lowest-index rule took over.
-:func:`transport_plan` solves only the difference of the two measures and
-returns the certified plan and dual potentials of the full problem.  Its
-result keeps the plan as its support and the cost as the two supports'
-coordinate matrices, and builds both m x n arrays on each access.  In
-floating point ``phi`` rounds every ``|x|`` above about ``1e16`` to 0 or 1,
-so the distances are pseudometrics.
+and a few numpy calls per step.  The solver returns a plain record: the
+dense plan of the problem it was given, written with one store after the
+last pivot, both potentials, the pivots, the degenerate ones, and whether
+the lowest-index rule took over.  :func:`transport_plan` solves only the
+difference of the two measures, certifies the plan and potentials of the
+full problem, and builds its result in one call, with one storage: the
+plan's support and the supports' coordinates, from which ``plan`` and
+``cost`` are rebuilt on each access.  In floating point ``phi`` rounds every
+``|x|`` above about ``1e16`` to 0 or 1, so the distances are pseudometrics.
 
 Families are compared by a capped, geometrically weighted sum of transport
 distances over the canonical subset enumeration, which metrizes convergence
@@ -29,9 +29,11 @@ of the finite-dimensional members.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -95,55 +97,46 @@ _PIVOT_BUDGET_PER_NODE = 100
 _DEGENERATE_SLACK = 50
 
 
-class TransportResult:
-    """Optimal plan, value, and dual certificate of one transport solve.
+#: the solver's record: the dense plan of the problem it was given, its duals and counters
+_Solution = namedtuple(
+    "_Solution",
+    "value plan row_potentials col_potentials pivots degenerate_pivots lowest_index_rule",
+)
 
-    Built as ``TransportResult(value, plan, row_potentials, col_potentials,
-    row_masses, col_masses, cost, pivots, degenerate_pivots=0,
-    lowest_index_rule=False)`` it stores ``plan`` and ``cost`` as given.  A
-    result of :func:`transport_plan` keeps the plan as its support (the flat
-    indices and values of the entries whose bits are not zero, so a ``-0.0``
-    survives) and the cost as the two supports' phi coordinates, O((m + n) d)
-    numbers where the matrices hold m n each.  ``plan`` and ``cost`` then
+
+@dataclass(eq=False)
+class TransportResult:
+    """Optimal plan, value, and dual certificate of one :func:`transport_plan` solve.
+
+    Its one storage is the plan's support (the flat indices and values of the
+    entries whose bits are not zero, so a ``-0.0`` survives) and the two
+    supports' phi coordinates, O((m + n) d) numbers.  ``plan`` and ``cost``
     build fresh C-contiguous m x n arrays on each access, so a caller who
     reads them often should keep the array.
     """
 
-    def __init__(
-        self,
-        value: float,
-        plan: np.ndarray,
-        row_potentials: np.ndarray,
-        col_potentials: np.ndarray,
-        row_masses: np.ndarray,
-        col_masses: np.ndarray,
-        cost: np.ndarray,
-        pivots: int,
-        degenerate_pivots: int = 0,
-        lowest_index_rule: bool = False,
-    ):
-        self.value = value
-        self._plan, self._cost = plan, cost
-        self.row_potentials, self.col_potentials = row_potentials, col_potentials
-        self.row_masses, self.col_masses = row_masses, col_masses
-        self.pivots = pivots
-        #: pivots that moved no flow; whether the lowest-index entering rule took over
-        self.degenerate_pivots = degenerate_pivots
-        self.lowest_index_rule = lowest_index_rule
+    value: float
+    row_potentials: np.ndarray
+    col_potentials: np.ndarray
+    row_masses: np.ndarray
+    col_masses: np.ndarray
+    pivots: int
+    #: pivots that moved no flow; whether the lowest-index entering rule took over
+    degenerate_pivots: int
+    lowest_index_rule: bool
+    _support: np.ndarray
+    _support_mass: np.ndarray
+    _cols_a: np.ndarray
+    _cols_b: np.ndarray
 
     @property
     def plan(self) -> np.ndarray:
-        if self._plan is not None:
-            return self._plan
-        m, n = self.row_masses.size, self.col_masses.size
-        plan = np.zeros(m * n)
-        plan[self._support] = self._support_mass
-        return plan.reshape(m, n)
+        plan = np.zeros((self.row_masses.size, self.col_masses.size))
+        plan.put(self._support, self._support_mass)
+        return plan
 
     @property
     def cost(self) -> np.ndarray:
-        if self._cost is not None:
-            return self._cost
         return _max_cost(self._cols_a, self._cols_b)
 
     def feasibility_deviation(self) -> float:
@@ -176,7 +169,7 @@ def _max_cost(cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> TransportResult:
+def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> _Solution:
     m, n = cost.shape
     # the basis is a spanning tree over rows 0..m-1 and columns m..m+n-1,
     # rooted at row 0 and kept between pivots; each other node carries its arc
@@ -294,9 +287,7 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
     plan = np.zeros((m, n))
     plan.put(cell[1:], flow[1:])
     value = float((cost * plan).sum())
-    return TransportResult(
-        value, plan, u.copy(), v.copy(), a, b, cost, pivots, degenerate, blands_rule
-    )
+    return _Solution(value, plan, u.copy(), v.copy(), pivots, degenerate, blands_rule)
 
 
 def _support(t: GridMeasure):
@@ -357,13 +348,13 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     # residual mass on one side only is rounding, below MASS_TOL: nothing to move
     if rows.size and cols.size:
         block = rows[:, None], cols
-        reduced = _solve_transport(ra[rows], rb[cols], cost[block])
-        plan[block] += reduced.plan
-        u = (cost[:, cols] - reduced.col_potentials).min(axis=1)
+        value, reduced, _, v_cols, pivots, degenerate, bland = _solve_transport(
+            ra[rows], rb[cols], cost[block]
+        )
+        plan[block] += reduced
+        u = (cost[:, cols] - v_cols).min(axis=1)
         v = -u[twin]
-        v[cols] = reduced.col_potentials
-        value, pivots = reduced.value, reduced.pivots
-        degenerate, bland = reduced.degenerate_pivots, reduced.lowest_index_rule
+        v[cols] = v_cols
     # the certificate runs on the dense arrays of the solved orientation
     deviation = _feasibility_deviation(plan, ma, mb)
     if deviation > _FEASIBILITY_TOL:
@@ -378,13 +369,11 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     (support,) = flat.view(np.uint64).nonzero()
     support_mass = flat[support]
     if swap:
-        rows_of, cols_of = divmod(support, n)
-        support = cols_of * m + rows_of
+        support = support % n * m + support // n  # cell i * n + j moves to j * m + i
         cols_a, cols_b, u, v, ma, mb = cols_b, cols_a, v, u, mb, ma
-    result = TransportResult(value, None, u, v, ma, mb, None, pivots, degenerate, bland)
-    result._support, result._support_mass = support, support_mass
-    result._cols_a, result._cols_b = cols_a, cols_b
-    return result
+    return TransportResult(
+        value, u, v, ma, mb, pivots, degenerate, bland, support, support_mass, cols_a, cols_b
+    )
 
 
 def transport_distance(a: GridMeasure, b: GridMeasure) -> float:
@@ -398,15 +387,15 @@ def transport_distance(a: GridMeasure, b: GridMeasure) -> float:
 
 
 def _segment_line(m: Marginal, lo: float, hi: float):
-    """Slope and intercept of the CDF on the open interval (lo, hi)."""
-    xs, fs = m.xs, m.fs
-    k = int(np.searchsorted(xs, lo, side="right")) - 1
+    """Slope and intercept of the CDF on (lo, hi), read as :func:`cdf_eval` reads its tables."""
+    xs, fs = m.xs.data, m.fs.data
+    k = bisect.bisect_right(xs, lo) - 1
     if k < 0:
         return 0.0, 0.0
     if m.kind == ATOMIC or k == len(xs) - 1:
-        return 0.0, float(fs[k])
+        return 0.0, fs[k]
     alpha = (fs[k + 1] - fs[k]) / (xs[k + 1] - xs[k])
-    return float(alpha), float(fs[k] - alpha * xs[k])
+    return alpha, fs[k] - alpha * xs[k]
 
 
 def _antiderivative(x: float, alpha: float, beta: float) -> float:
@@ -416,7 +405,7 @@ def _antiderivative(x: float, alpha: float, beta: float) -> float:
 
 def _piece_integral(lo: float, hi: float, alpha: float, beta: float) -> float:
     if alpha == 0.0:
-        return abs(beta) * (phi(hi) - phi(lo))
+        return abs(beta) * (_phi(hi) - _phi(lo))
     total = 0.0
     cuts = [lo]
     root = -beta / alpha
@@ -437,7 +426,7 @@ def w1_one_dim(a: Marginal, b: Marginal) -> float:
     """
     points = set()
     for m in (a, b):
-        points.update(float(x) for x in m.xs if math.isfinite(x))
+        points.update(x for x in m.xs.data if math.isfinite(x))
     cuts = [float("-inf")] + sorted(points) + [float("inf")]
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -477,6 +466,8 @@ def fdd_distance(
     """
     if f.universe != g.universe:
         raise CompatibilityError("families live over different index universes")
+    if not isinstance(config, FddMetricConfig):
+        raise ConfigurationError(f"config must be an FddMetricConfig, not {config!r}")
     total = 0.0
     for k, subset in enumerate(
         itertools.islice(canonical_subsets(f.universe), config.depth), start=1
@@ -514,6 +505,7 @@ def compactness_probe(seq: Sequence[CheckerboardCopula], eps: float) -> Compactn
     subsequence together with its anchor as the limit candidate.  With ``M``
     clusters found the subsequence has length at least ``ceil(N / M)``.
     """
+    seq = list(seq)  # read once: an iterator gives what its list gives
     if not seq:
         raise DomainError("compactness probe needs a nonempty sequence")
     _checked_eps(eps)
@@ -596,6 +588,7 @@ def continuity_probe(
     marginal for a label outside the copula's would only add to the input
     distance, so it is refused.
     """
+    epsilons = list(epsilons)  # read once: a generator gives what its list gives
     for eps in epsilons:
         if not (_real_number(eps) and 0.0 <= eps < 1.0):
             raise ConfigurationError(

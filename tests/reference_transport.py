@@ -2,8 +2,9 @@
 
 A test-only oracle: it rebuilds the basis tree from scratch on every pivot, so
 it is slow, but it follows the same initial basis, pivot rules and float
-operations as :func:`copulagrid.topology._solve_transport`.  The two must agree
-bit for bit in value, plan, both potentials and pivot count.
+operations as :func:`copulagrid.topology._solve_transport`, and returns the
+same record.  The two must agree bit for bit in value, plan, both potentials
+and pivot count.
 """
 
 from collections import deque
@@ -15,7 +16,9 @@ from copulagrid.topology import (
     _FEASIBILITY_TOL,
     _PIVOT_TOL,
     _SLACKNESS_TOL,
-    TransportResult,
+    _feasibility_deviation,
+    _slackness_deviation,
+    _Solution,
 )
 
 
@@ -72,7 +75,7 @@ def _tree_path(basis, start, goal, m):
     return arcs
 
 
-def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> TransportResult:
+def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> _Solution:
     m, n = cost.shape
     plan = np.zeros((m, n))
     ra, rb = a.copy(), b.copy()
@@ -96,6 +99,7 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
     basis = sorted(basis_set)
     max_pivots = 50000 + 100 * (m + n)
     pivots = 0
+    degenerate = 0
     degenerate_run = 0
     blands_rule = False
     while True:
@@ -129,6 +133,7 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
         basis = sorted(basis_set)
         pivots += 1
         if theta == 0.0:
+            degenerate += 1
             degenerate_run += 1
             if degenerate_run > 50 + m + n:
                 blands_rule = True
@@ -136,13 +141,10 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Transpor
             degenerate_run = 0
     u, v = _tree_potentials(basis, cost, m, n)
     value = float(np.sum(cost * plan))
-    result = TransportResult(value, plan, u, v, a, b, cost, pivots)
-    if result.feasibility_deviation() > _FEASIBILITY_TOL:
-        raise InternalError(
-            f"transport plan infeasible by {result.feasibility_deviation()!r}"
-        )
-    if result.slackness_deviation() > _SLACKNESS_TOL:
-        raise InternalError(
-            f"transport duals violate slackness by {result.slackness_deviation()!r}"
-        )
-    return result
+    deviation = _feasibility_deviation(plan, a, b)
+    if deviation > _FEASIBILITY_TOL:
+        raise InternalError(f"transport plan infeasible by {deviation!r}")
+    deviation = _slackness_deviation(plan, cost, u, v)
+    if deviation > _SLACKNESS_TOL:
+        raise InternalError(f"transport duals violate slackness by {deviation!r}")
+    return _Solution(value, plan, u, v, pivots, degenerate, blands_rule)

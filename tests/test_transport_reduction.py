@@ -21,19 +21,19 @@ POOL = np.array([-np.inf, -1e18, -2.0, -1.0, 0.0, 1.0, 2.0, 1e17, 1e18, np.inf])
 
 
 def unreduced(a, b):
-    """The full problem, solved by the reference solver without any reduction."""
+    """The full problem solved by the reference solver, unreduced, with its cost and masses."""
     pa, ma = topology._support(a)
     pb, mb = topology._support(b)
     cost = np.max(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2)
-    return reference_solve(ma, mb, cost)
+    return reference_solve(ma, mb, cost), {"cost": cost, "row_masses": ma, "col_masses": mb}
 
 
 def check_reduction(a, b):
     res = transport_plan(a, b)
-    slow = unreduced(a, b)
+    slow, problem = unreduced(a, b)
     assert abs(res.value - slow.value) <= 1e-12
     for name in ("cost", "row_masses", "col_masses"):
-        assert getattr(res, name).tobytes() == getattr(slow, name).tobytes(), name
+        assert getattr(res, name).tobytes() == problem[name].tobytes(), name
     assert res.feasibility_deviation() <= topology._FEASIBILITY_TOL
     assert res.slackness_deviation() <= topology._SLACKNESS_TOL
     assert res.plan.min() >= 0.0

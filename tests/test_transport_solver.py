@@ -220,7 +220,10 @@ def test_lowest_index_path_keeps_its_pinned_bits(monkeypatch):
             digest.update(arr.tobytes())
         seen.append((res.value.hex(), res.pivots))
         assert res.lowest_index_rule == (res.degenerate_pivots > 0)
-        assert_certified(res)
+        # the solver's record holds no masses or cost: certify it on the problem given
+        u, v = res.row_potentials, res.col_potentials
+        assert topology._feasibility_deviation(res.plan, a, b) <= topology._FEASIBILITY_TOL
+        assert topology._slackness_deviation(res.plan, cost, u, v) <= topology._SLACKNESS_TOL
     assert seen == LOWEST_INDEX_PINS
     assert digest.hexdigest() == LOWEST_INDEX_DIGEST
 
