@@ -91,9 +91,10 @@ def _kuhn(adj: list, forced: tuple = (-1, -1)):
     """Perfect matching of the support whose row ``i`` has the column bitmask ``adj[i]``.
 
     Kuhn's augmenting-path search, visiting rows and columns in increasing
-    index order so the result is deterministic.  A row's candidates are the
-    set bits of ``adj[row] & ~seen``, taken lowest first and read afresh
-    after each failed recursion, which may have seen more columns: the
+    index order so the result is deterministic.  Each row starts from one
+    mask of unseen columns, built once per call (all but the forced one), and
+    takes as candidates the set bits of ``adj[row] & unseen``, lowest first,
+    narrowed after each failed recursion has cleared the bits it saw: the
     columns a walk of the row's support in increasing order would try, in
     that order.  The edge ``forced`` is in the matching if given.  Returns
     ``None`` when no perfect matching exists.
@@ -103,25 +104,25 @@ def _kuhn(adj: list, forced: tuple = (-1, -1)):
     i0, j0 = forced
     if j0 >= 0:
         match_col[j0] = i0
-    seen = 0
+    fresh = ~(1 << j0) if j0 >= 0 else -1
 
     def augment(row):
-        nonlocal seen
-        free = adj[row] & ~seen
+        nonlocal unseen
+        free = adj[row] & unseen
         while free:
             bit = free & -free
-            seen |= bit
+            unseen ^= bit
             col = bit.bit_length() - 1
             if match_col[col] == -1 or augment(match_col[col]):
                 match_col[col] = row
                 return True
-            free = adj[row] & ~seen
+            free &= unseen
         return False
 
     for row in range(n):
         if row == i0:
             continue
-        seen = 1 << j0 if j0 >= 0 else 0
+        unseen = fresh
         if not augment(row):
             return None
     perm = [-1] * n
@@ -137,9 +138,12 @@ def birkhoff_decompose(c: CheckerboardCopula):
     smallest positive entry and subtracts it, so each round removes at least
     that entry from the support; at most ``n**2 - 2*n + 2`` terms are
     produced.  Returns ``(weight, permutation)`` pairs with nonnegative
-    weights summing to one.  The support, the cells above ``_DUST``, only
-    ever loses cells, so its row bitmasks are built once and lose, after each
-    round, the subtracted permutation's cells that fell to ``_DUST`` or below.
+    weights summing to one.  The support (cells above ``_DUST``) only loses
+    cells, so its row bitmasks, count and flat ``live`` array (support masses,
+    ``inf`` elsewhere) are built once; a round is one Kuhn search, an
+    ``argmin`` and one gather and store of the permutation's cells, reduced as
+    Python floats.  11 cells above ``_DUST`` sum above ``1e-12`` in any order,
+    so the stop test sums the support only once 10 or fewer cells remain.
     """
     if c.ndim != 2:
         raise CompatibilityError("decomposition applies to two-dimensional copulas")
@@ -148,16 +152,17 @@ def birkhoff_decompose(c: CheckerboardCopula):
     dev = max(float(np.max(np.abs(scaled.sum(axis=axis) - 1.0))) for axis in (1, 0))
     if dev > DOUBLY_STOCHASTIC_TOL:
         raise ValidationError(f"n * mass is not doubly stochastic (deviation {dev!r})")
-    work = c.mass.copy()
-    adj = _support_rows(work > _DUST)
-    rows = np.arange(n)
+    support = c.mass > _DUST
+    adj = _support_rows(support)
+    live = np.where(support, c.mass, np.inf).ravel()
+    count = int(np.count_nonzero(support))
+    starts = np.arange(0, n * n, n)
     terms = []
     max_terms = n * n - 2 * n + 2
-    while float(work[(support := work > _DUST)].sum()) > 1e-12:
+    while count > 10 or float(live[live < np.inf].sum()) > 1e-12:
         if len(terms) >= max_terms:
             raise InternalError("decomposition exceeded its term budget")
-        flat = np.where(support.ravel(), work.ravel(), np.inf)
-        i0, j0 = divmod(int(np.argmin(flat)), n)
+        i0, j0 = divmod(int(live.argmin()), n)
         perm = _kuhn(adj, (i0, j0))
         if perm is None:
             # near-degenerate ties can make the smallest entry unmatchable;
@@ -165,12 +170,16 @@ def birkhoff_decompose(c: CheckerboardCopula):
             perm = _kuhn(adj)
         if perm is None:
             raise InternalError("no permutation found in a doubly stochastic support")
-        cells = work[rows, perm]
-        theta = float(cells.min())
-        cells -= theta
-        work[rows, perm] = cells
-        for i in np.flatnonzero(cells <= _DUST).tolist():
-            adj[i] &= ~(1 << perm[i])
+        flat = starts + perm
+        cells = live[flat].tolist()
+        theta = min(cells)
+        cells = [cell - theta for cell in cells]
+        for i, cell in enumerate(cells):
+            if cell <= _DUST:
+                cells[i] = math.inf
+                adj[i] ^= 1 << perm[i]
+                count -= 1
+        live[flat] = cells
         terms.append((theta * n, tuple(perm)))
     total = sum(w for w, _ in terms)
     return tuple((w / total, perm) for w, perm in terms)

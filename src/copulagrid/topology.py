@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .copulas import CheckerboardCopula, _checked_order, _checked_seed, fit_uniform_margins
+from .copulas import CheckerboardCopula, _checked_order, _checked_seed, _fit_stack
 from .errors import (
     CompatibilityError,
     ConfigurationError,
@@ -577,7 +577,7 @@ def continuity_probe(
     """Measure how composed joints respond to shrinking input perturbations.
 
     A fixed random direction (from ``seed``) perturbs the copula tensor
-    multiplicatively (then margins are refitted to uniform) and each
+    multiplicatively (margins refitted to uniform, all steps in one stack) and each
     marginal's masses, drawn in :func:`canonical_labels` order; the input
     distance adds the marginals' terms in that order too, so relabeling that
     keeps the order, or a mapping in another insertion order, keeps the
@@ -586,7 +586,7 @@ def continuity_probe(
     joint families is reported next to the input-side distance.  Output
     distances shrink with the schedule and vanish at ``eps = 0``.  A
     marginal for a label outside the copula's would only add to the input
-    distance, so it is refused.
+    distance, so it is refused before the target family is built.
     """
     epsilons = list(epsilons)  # read once: a generator gives what its list gives
     for eps in epsilons:
@@ -595,29 +595,29 @@ def continuity_probe(
                 f"perturbation size {eps!r} outside [0, 1); the copula tensor "
                 "would lose positivity after renormalization"
             )
+    epsilons = [float(eps) for eps in epsilons]
     seed = _checked_seed(seed)
-    target_fdd = _joint_family(copula, marginals)
+    compose(family_from_copula(copula), marginals)  # refuses missing and non-Marginal values
     rng = np.random.default_rng(seed)
     cop_dir = rng.uniform(-1.0, 1.0, size=copula.mass.shape)
     labels = canonical_labels(marginals)
     unread = [lab for lab in labels if lab not in copula.labels]
     if unread:
         raise ConfigurationError(f"marginals for labels {unread!r} that the copula does not read")
+    target_fdd = _joint_family(copula, marginals)
     marg_dirs = {
         lab: rng.uniform(-1.0, 1.0, size=(len(m.xs) if m.kind == ATOMIC else len(m.xs) - 1))
         for lab, m in ((lab, marginals[lab]) for lab in labels)
     }
+    moved = [eps for eps in epsilons if eps != 0.0]
+    fitted = iter(_fit_stack(copula.mass * (1.0 + np.multiply.outer(moved, cop_dir))))
     steps = []
     for eps in epsilons:
-        eps = float(eps)
         if eps == 0.0:
             pert_copula = copula
             pert_marginals = dict(marginals)
         else:
-            scaled = copula.mass * (1.0 + eps * cop_dir)
-            pert_copula = CheckerboardCopula(
-                copula.labels, copula.order, fit_uniform_margins(scaled)
-            )
+            pert_copula = CheckerboardCopula(copula.labels, copula.order, next(fitted))
             pert_marginals = {
                 lab: _perturb_marginal(m, eps, marg_dirs[lab])
                 for lab, m in marginals.items()

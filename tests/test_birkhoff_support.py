@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copulagrid import CheckerboardCopula, CopulaGridError, birkhoff_decompose, make_independence
+from copulagrid.errors import InternalError
 from copulagrid.extremal import _DUST
 from reference_extremal import _perfect_matching as reference_matching
 from reference_extremal import birkhoff_decompose as reference_decompose
@@ -136,3 +137,64 @@ def test_a_whole_permutation_leaves_in_one_round():
     got = assert_same_terms(c)
     assert len(rounds(c)[0]) == order
     assert got[0][1] == tuple(range(order))
+
+
+def stranded(order, cells):
+    """The identity copula mixed with ``cells`` on the two diagonals above the main one.
+
+    The identity keeps the total at one.  No permutation of the support
+    passes above the diagonal, so the first round subtracts the identity and
+    leaves exactly ``cells`` in the support, at most two to a row or a column,
+    which keeps the margins within tolerance.
+    """
+    mass = np.eye(order) * ((1.0 - sum(cells)) / order)
+    above = [(i, i + d) for d in (1, 2) for i in range(order - d)]
+    for (i, j), cell in zip(above, cells):
+        mass[i, j] = cell
+    return CheckerboardCopula((0, 1), order, mass)
+
+
+def left_over(c):
+    """The sum the stop test reads after the first round: the cells above the diagonal."""
+    upper = np.triu(c.mass, 1)
+    return float(upper[upper > _DUST].sum())
+
+
+IDENTITY_ONLY = "identity only"
+NO_PERMUTATION = (InternalError, "no permutation found in a doubly stochastic support")
+
+
+def stop_outcome(order, cells):
+    """What the decomposition of ``stranded(order, cells)`` must give, after the reference."""
+    c = stranded(order, cells)
+    got = assert_same_terms(c)
+    assert rounds(c)[0] == [float(c.mass[0, 0])] * order
+    if got == [(1.0.hex(), tuple(range(order)))]:
+        return IDENTITY_ONLY
+    assert got == NO_PERMUTATION
+    return got
+
+
+near_dust = st.floats(_DUST, 1.2e-13, exclude_min=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(9, 11), st.lists(near_dust, min_size=9, max_size=11))
+@example(9, [1.05e-13] * 9)  # total below 1e-12: the old rule stops on nine cells
+@example(9, [1.15e-13] * 9)  # total above 1e-12: the next round finds no permutation
+@example(10, [1.05e-13] * 9)
+@example(11, [1.15e-13] * 9)
+@example(10, [float(np.nextafter(_DUST, 1.0))] * 10)  # ten cells: the last count that sums
+@example(10, [1.2e-13] * 10)
+@example(11, [float(np.nextafter(_DUST, 1.0))] * 11)  # eleven: the count alone goes on
+@example(9, [1.2e-13] * 11)
+@example(11, [1.1e-13, 1.2e-13, 1.01e-13] * 3 + [1.2e-13])
+def test_the_stop_rule_on_nine_to_eleven_cells_matches_reference(order, cells):
+    want = IDENTITY_ONLY if left_over(stranded(order, cells)) <= 1e-12 else NO_PERMUTATION
+    assert stop_outcome(order, cells) == want
+
+
+def test_the_stop_rule_cases_reach_both_sides_of_the_threshold():
+    assert stop_outcome(9, [1.05e-13] * 9) == IDENTITY_ONLY
+    for order, count in [(9, 9), (10, 10), (11, 11)]:
+        assert stop_outcome(order, [1.15e-13] * count) == NO_PERMUTATION

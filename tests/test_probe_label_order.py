@@ -4,12 +4,15 @@ Relabeling the axes in a way that keeps their order keeps the report bit for
 bit, also where ``str`` order differs (``10`` sorts before ``2`` as text).
 Marginal keys that cannot be ordered are refused like any other label set,
 and so are marginals for labels the copula does not have, after the missing
-and the unorderable ones.
+and the unorderable ones.  A value that is not a :class:`Marginal` is refused
+as ``compose`` refuses it, and every refusal comes before the target family
+is discretized.
 """
 
 import numpy as np
 import pytest
 
+import copulagrid.topology
 from copulagrid import (
     CheckerboardCopula,
     CompatibilityError,
@@ -76,3 +79,25 @@ def test_missing_marginals_are_named_before_unread_ones():
     copula = CheckerboardCopula((0, 1), 2, np.full((2, 2), 0.25))
     with pytest.raises(ConfigurationError, match="^marginals missing for labels "):
         continuity_probe(copula, {1: KNOTS, 7: COIN}, [0.1])
+
+
+def test_a_value_that_is_not_a_marginal_is_refused_as_compose_refuses_it():
+    copula = CheckerboardCopula((0, 1), 2, np.full((2, 2), 0.25))
+    with pytest.raises(ConfigurationError, match="^marginal for 0 is not a Marginal$"):
+        continuity_probe(copula, {0: "x", 1: COIN}, [0.1])
+
+
+def test_unread_marginals_are_refused_before_the_target_is_discretized(monkeypatch):
+    calls = []
+    discretize = copulagrid.topology.discretize_joint
+    monkeypatch.setattr(
+        copulagrid.topology,
+        "discretize_joint",
+        lambda *args, **kwargs: calls.append(args) or discretize(*args, **kwargs),
+    )
+    copula = random_copula((0, 1), 3, np.random.default_rng(5))
+    with pytest.raises(ConfigurationError, match="^marginals for labels \\[7\\] that the copula"):
+        continuity_probe(copula, {0: ATOMS, 1: KNOTS, 7: COIN}, SCHEDULE, seed=3)
+    assert calls == []
+    continuity_probe(copula, {0: ATOMS, 1: KNOTS}, SCHEDULE, seed=3)
+    assert calls  # the probe discretizes through the name the refusal test watches
