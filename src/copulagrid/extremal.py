@@ -82,29 +82,31 @@ def _support_rows(support: np.ndarray) -> list:
 def _perfect_matching(support: np.ndarray, forced: tuple = (-1, -1)):
     """Perfect matching of the support, containing the edge ``forced`` if given.
 
-    See :func:`_kuhn`; the support is read once, into row bitmasks, by :func:`_support_rows`.
+    :func:`_kuhn` from the matching that holds ``forced`` alone; the support
+    is read once, into row bitmasks, by :func:`_support_rows`.
     """
-    return _kuhn(_support_rows(support), forced)
+    i0, j0 = forced
+    match = [i0 if col == j0 else -1 for col in range(len(support))]
+    return _kuhn(_support_rows(support), match, j0)
 
 
-def _kuhn(adj: list, forced: tuple = (-1, -1)):
-    """Perfect matching of the support whose row ``i`` has the column bitmask ``adj[i]``.
+def _kuhn(adj: list, match: list, blocked: int = -1):
+    """Extend ``match`` to a perfect matching of the support whose row ``i`` has bitmask ``adj[i]``.
 
-    Kuhn's augmenting-path search, visiting rows and columns in increasing
-    index order so the result is deterministic.  Each row starts from one
-    mask of unseen columns, built once per call (all but the forced one), and
-    takes as candidates the set bits of ``adj[row] & unseen``, lowest first,
+    ``match`` maps columns to rows (``-1`` where free) inside the support and
+    is extended in place; the column ``blocked`` keeps its row.  Kuhn's
+    augmenting-path search seats the free rows in increasing order and
+    re-seats matched rows recursively.  Each free row starts from one mask of
+    unseen columns, built once per call (all but the blocked one), and takes
+    as candidates the set bits of ``adj[row] & unseen``, lowest first,
     narrowed after each failed recursion has cleared the bits it saw: the
-    columns a walk of the row's support in increasing order would try, in
-    that order.  The edge ``forced`` is in the matching if given.  Returns
-    ``None`` when no perfect matching exists.
+    columns a walk of the row's support in increasing order would try, in that
+    order.  From the matching that holds one forced edge alone this is the
+    from-scratch search through it.  Returns the permutation (row to column),
+    or ``None`` when no perfect matching keeps the blocked pair, from any start.
     """
     n = len(adj)
-    match_col = [-1] * n  # column -> row
-    i0, j0 = forced
-    if j0 >= 0:
-        match_col[j0] = i0
-    fresh = ~(1 << j0) if j0 >= 0 else -1
+    fresh = ~(1 << blocked) if blocked >= 0 else -1
 
     def augment(row):
         nonlocal unseen
@@ -113,20 +115,18 @@ def _kuhn(adj: list, forced: tuple = (-1, -1)):
             bit = free & -free
             unseen ^= bit
             col = bit.bit_length() - 1
-            if match_col[col] == -1 or augment(match_col[col]):
-                match_col[col] = row
+            if match[col] == -1 or augment(match[col]):
+                match[col] = row
                 return True
             free &= unseen
         return False
 
-    for row in range(n):
-        if row == i0:
-            continue
+    for row in sorted(set(range(n)).difference(match)):
         unseen = fresh
         if not augment(row):
             return None
     perm = [-1] * n
-    for col, row in enumerate(match_col):
+    for col, row in enumerate(match):
         perm[row] = col
     return perm
 
@@ -140,8 +140,12 @@ def birkhoff_decompose(c: CheckerboardCopula):
     produced.  Returns ``(weight, permutation)`` pairs with nonnegative
     weights summing to one.  The support (cells above ``_DUST``) only loses
     cells, so its row bitmasks, count and flat ``live`` array (support masses,
-    ``inf`` elsewhere) are built once; a round is one Kuhn search, an
-    ``argmin`` and one gather and store of the permutation's cells, reduced as
+    ``inf`` elsewhere) are built once.  A round extends the last permutation:
+    its cells that left the support free their rows, the smallest cell is
+    seated in place of its row's and column's old partners, and
+    :func:`_kuhn` seats the free rows, a few augmenting paths rather than a
+    search from scratch; the terms depend on that path.  The permutation's
+    cells are then read with one gather and stored with one store, reduced as
     Python floats.  11 cells above ``_DUST`` sum above ``1e-12`` in any order,
     so the stop test sums the support only once 10 or fewer cells remain.
     """
@@ -159,15 +163,20 @@ def birkhoff_decompose(c: CheckerboardCopula):
     starts = np.arange(0, n * n, n)
     terms = []
     max_terms = n * n - 2 * n + 2
+    match, perm = [-1] * n, [-1] * n  # match: the last permutation's column -> row, less drops
     while count > 10 or float(live[live < np.inf].sum()) > 1e-12:
         if len(terms) >= max_terms:
             raise InternalError("decomposition exceeded its term budget")
         i0, j0 = divmod(int(live.argmin()), n)
-        perm = _kuhn(adj, (i0, j0))
+        if perm[i0] >= 0:
+            match[perm[i0]] = -1
+        match[j0] = i0
+        perm = _kuhn(adj, match, j0)
         if perm is None:
             # near-degenerate ties can make the smallest entry unmatchable;
             # any permutation of the support still zeroes its own minimum
-            perm = _kuhn(adj)
+            match = [-1] * n
+            perm = _kuhn(adj, match)
         if perm is None:
             raise InternalError("no permutation found in a doubly stochastic support")
         flat = starts + perm
@@ -178,6 +187,7 @@ def birkhoff_decompose(c: CheckerboardCopula):
             if cell <= _DUST:
                 cells[i] = math.inf
                 adj[i] ^= 1 << perm[i]
+                match[perm[i]] = -1
                 count -= 1
         live[flat] = cells
         terms.append((theta * n, tuple(perm)))

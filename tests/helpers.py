@@ -7,8 +7,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from copulagrid import Marginal, TensorMeasure
+from copulagrid import Marginal, TensorMeasure, birkhoff_decompose
+from copulagrid.errors import InternalError
+from copulagrid.extremal import _DUST
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "copulagrid"
 
@@ -104,9 +107,88 @@ def sources():
     return found
 
 
-def run_cli(*argv, cwd, **env):
-    """``python -m copulagrid.cli *argv`` in ``cwd`` on ``src``, with ``env`` added to the
-    environment; a process that hangs fails its test after 60 s."""
+def run_python(*argv, cwd, **env):
+    """``python *argv`` in ``cwd`` on ``src``, with ``env`` added to the environment;
+    a process that hangs fails its test after 60 s."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent), **env}
-    cmd = [sys.executable, "-m", "copulagrid.cli", *argv]
-    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, timeout=60)
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, timeout=60)
+
+
+def run_cli(*argv, cwd, **env):
+    """``python -m copulagrid.cli *argv``, run by :func:`run_python`."""
+    return run_python("-m", "copulagrid.cli", *argv, cwd=cwd, **env)
+
+
+def has_perfect_matching(support):
+    """Independent oracle: a maximum assignment on the support reaches ``n``."""
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    if support.size == 0:
+        return True
+    rows, cols = linear_sum_assignment(-support.astype(float))
+    return int(support[rows, cols].sum()) == support.shape[0]
+
+
+def without(support, i0, j0):
+    return np.delete(np.delete(support, i0, axis=0), j0, axis=1)
+
+
+NO_PERMUTATION = (InternalError, "no permutation found in a doubly stochastic support")
+
+
+def replay_birkhoff(c, terms):
+    """Check Birkhoff terms of ``c`` by replaying their rounds; return each round's dropped cells.
+
+    A round's support is its remainder's cells above ``_DUST``, which must sum
+    above ``1e-12``, and its term a permutation of support cells (so of input
+    cells above ``_DUST``) that passes through the smallest support cell
+    whenever a perfect matching through it exists, by
+    :func:`has_perfect_matching`.  Subtracting the term's smallest cell
+    ``theta`` is the decomposition's own float arithmetic, so each weight must
+    be ``n * theta`` over the sum of them, bit for bit, and the support left
+    after the last round must sum to at most ``1e-12``.  The weights are
+    positive and sum to one within ``1e-12``, there are at most
+    ``n**2 - 2*n + 2`` of them, and their permutation copulas rebuild the
+    mass within ``1e-12``.
+    """
+    n = c.order
+    assert 1 <= len(terms) <= max(1, n * n - 2 * n + 2)
+    work, rows = c.mass.copy(), np.arange(n)
+    thetas, dropped = [], []
+    for _, perm in terms:
+        assert sorted(perm) == list(range(n))
+        assert (c.mass[rows, perm] > _DUST).all()
+        support = work > _DUST
+        assert float(work[support].sum()) > 1e-12
+        assert support[rows, perm].all()
+        i0, j0 = divmod(int(np.where(support, work, np.inf).argmin()), n)
+        if has_perfect_matching(without(support, i0, j0)):
+            assert perm[i0] == j0
+        before = work[rows, perm]
+        theta = float(before.min())
+        work[rows, perm] -= theta
+        thetas.append(theta * n)
+        dropped.append(before[work[rows, perm] <= _DUST].tolist())
+    assert float(work[work > _DUST].sum()) <= 1e-12
+    total = sum(thetas)
+    weights = [w for w, _ in terms]
+    assert [w.hex() for w in weights] == [(t / total).hex() for t in thetas]
+    assert min(weights) > 0 and abs(sum(weights) - 1.0) <= 1e-12
+    rebuilt = np.zeros((n, n))
+    for w, perm in terms:
+        rebuilt[rows, perm] += w / n
+    assert float(np.max(np.abs(rebuilt - c.mass))) <= 1e-12
+    return dropped
+
+
+def gated_birkhoff(c):
+    """``birkhoff_decompose(c)`` through :func:`replay_birkhoff`, or its refusal.
+
+    Returns the rounds' dropped cells, or ``NO_PERMUTATION`` (type and message),
+    the one refusal a doubly stochastic input may meet.
+    """
+    try:
+        terms = birkhoff_decompose(c)
+    except InternalError as exc:
+        assert (type(exc), str(exc)) == NO_PERMUTATION
+        return NO_PERMUTATION
+    return replay_birkhoff(c, terms)

@@ -1,11 +1,15 @@
-"""Kuhn's search on row bitmasks: the matchings and Birkhoff terms of the cell-by-cell search.
+"""Kuhn's search on row bitmasks: the cell-by-cell search's matchings, from scratch and warm.
 
 ``extremal._support_rows`` reads each row of a support into one int, bit
 ``j`` for column ``j``, and ``extremal._kuhn`` takes a row's candidates as
-the set bits of ``adj[row] & ~seen``, lowest first.  Orders past 64 put a
-row in more than one machine word.  Matchings and terms must equal those of
-``reference_extremal``, which tests ``support[row, col]`` for every column,
-bit for bit, refusals included.
+the set bits of ``adj[row] & unseen``, lowest first, from one mask of unseen
+columns per call.  Orders past 64 put a row in more than one machine word.
+From the matching that holds the forced cell alone, matchings must equal
+those of ``reference_extremal``, which tests ``support[row, col]`` for every
+column, bit for bit, refusals included.  From any partial matching that holds
+a blocked cell, ``_kuhn`` must find a perfect matching through that cell
+exactly when the assignment oracle does.  Birkhoff terms, which extend the
+last round's matching, pass the replay gate of ``helpers.replay_birkhoff``.
 """
 
 import numpy as np
@@ -21,7 +25,8 @@ from copulagrid import (
     make_independence,
     random_copula,
 )
-from copulagrid.extremal import _perfect_matching, _support_rows
+from copulagrid.extremal import _kuhn, _perfect_matching, _support_rows
+from helpers import has_perfect_matching, replay_birkhoff, without
 from reference_extremal import _perfect_matching as reference_matching
 from reference_extremal import birkhoff_decompose as reference_decompose
 
@@ -81,6 +86,74 @@ def test_the_corpus_reaches_matchings_and_refusals_past_one_word():
     assert found[True] and found[False]
 
 
+def warm_case(case):
+    """A support, a blocked support cell and a random matching inside the support that holds it.
+
+    With ``on_plant`` the blocked cell lies on the planted permutation, so a
+    perfect matching through it exists; otherwise it is a random cell, added
+    to the support.  The other support cells are paired greedily in a random
+    order, each kept with probability ``keep``.
+    """
+    n, density, planted, on_plant, keep, seed = case
+    rng = np.random.default_rng(seed)
+    support = support_case(n, density, 0, False, rng)
+    plant = rng.permutation(n)
+    if planted:
+        support[np.arange(n), plant] = True
+    i0 = int(rng.integers(n))
+    j0 = int(plant[i0]) if planted and on_plant else int(rng.integers(n))
+    support[i0, j0] = True
+    match = [-1] * n
+    match[j0] = i0
+    for i, j in rng.permutation(np.argwhere(support)).tolist():
+        if i not in match and match[j] == -1 and rng.random() < keep:
+            match[j] = i
+    return support, (i0, j0), match
+
+
+warm_cases = st.tuples(
+    st.integers(1, 80),
+    st.sampled_from([0.02, 0.05, 0.1, 0.3, 1.0]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def check_warm_start(support, forced, match):
+    """``_kuhn`` from ``match``: a perfect matching through ``forced`` exactly when one exists."""
+    n = len(support)
+    i0, j0 = forced
+    got = _kuhn(_support_rows(support), match.copy(), j0)
+    assert (got is not None) == has_perfect_matching(without(support, i0, j0))
+    if got is not None:
+        assert sorted(got) == list(range(n))
+        assert all(support[i, j] for i, j in enumerate(got))
+        assert got[i0] == j0
+    cold = [i0 if col == j0 else -1 for col in range(n)]
+    assert _kuhn(_support_rows(support), cold, j0) == reference_matching(support, forced)
+    return got
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(warm_cases)
+@example((80, 0.05, True, True, 1.0, 0))
+@example((80, 0.05, True, False, 0.5, 1))
+@example((65, 0.3, True, True, 0.5, 2))
+@example((1, 1.0, False, False, 0.0, 3))
+def test_warm_start_finds_a_matching_through_the_blocked_cell(case):
+    check_warm_start(*warm_case(case))
+
+
+def test_the_warm_corpus_reaches_matchings_and_refusals_past_one_word():
+    found = {True: 0, False: 0}
+    for seed in range(12):
+        case = warm_case((80, 0.02, True, seed % 2 == 0, 0.5, seed))
+        found[check_warm_start(*case) is not None] += 1
+    assert found[True] and found[False]
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 80])
 def test_row_bitmasks_hold_the_support(n):
     support = np.random.default_rng(n).random((n, n)) < 0.4
@@ -104,14 +177,24 @@ def assert_same_terms(c):
 
 
 @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (7, 2), (17, 3), (33, 4), (40, 5)])
-def test_random_copulas_match_reference(n, seed):
-    assert_same_terms(random_copula((0, 1), n, np.random.default_rng(seed)))
+def test_random_copulas_pass_the_replay_gate(n, seed):
+    c = random_copula((0, 1), n, np.random.default_rng(seed))
+    replay_birkhoff(c, birkhoff_decompose(c))
 
 
 @pytest.mark.parametrize("n", [1, 2, 13, 31, 40])
 def test_comonotone_and_independence_match_reference(n):
     assert_same_terms(make_comonotone((0, 1), n))
     assert_same_terms(make_independence((0, 1), n))
+
+
+def sparse_mixture(n, k, rng):
+    """``k`` random order-``n`` permutation copulas, weighted by ``rng.random(k) + 0.05``."""
+    weights = rng.random(k) + 0.05
+    mass = np.zeros((n, n))
+    for w in weights / weights.sum():
+        mass[np.arange(n), rng.permutation(n)] += w / n
+    return CheckerboardCopula((0, 1), n, mass)
 
 
 mixtures = st.tuples(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -122,11 +205,18 @@ mixtures = st.tuples(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32
 @example((40, 6, 0))
 @example((40, 1, 1))
 @example((33, 3, 2))
-def test_sparse_mixtures_match_reference(case):
+def test_sparse_mixtures_pass_the_replay_gate(case):
     n, k, seed = case
-    rng = np.random.default_rng(seed)
-    weights = rng.random(k) + 0.05
-    mass = np.zeros((n, n))
-    for w in weights / weights.sum():
-        mass[np.arange(n), rng.permutation(n)] += w / n
-    assert_same_terms(CheckerboardCopula((0, 1), n, mass))
+    c = sparse_mixture(n, k, np.random.default_rng(seed))
+    replay_birkhoff(c, birkhoff_decompose(c))
+
+
+def test_warm_rounds_take_at_most_five_percent_more_terms_than_the_reference():
+    """600 seeded mixtures of orders 3-24 and 2-7 permutations: at most 1.05x the terms."""
+    got = want = 0
+    for seed in range(600):
+        rng = np.random.default_rng(seed)
+        c = sparse_mixture(int(rng.integers(3, 25)), int(rng.integers(2, 8)), rng)
+        got += len(birkhoff_decompose(c))
+        want += len(reference_decompose(c))
+    assert got <= 1.05 * want
