@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     EvaluationError,
     InternalError,
+    UnsupportedError,
     ValidationError,
 )
 from .measures import _real_number
@@ -148,6 +149,7 @@ def birkhoff_decompose(c: CheckerboardCopula):
     cells are then read with one gather and stored with one store, reduced as
     Python floats.  11 cells above ``_DUST`` sum above ``1e-12`` in any order,
     so the stop test sums the support only once 10 or fewer cells remain.
+    Cells at or below ``_DUST`` that strand the rest raise UnsupportedError.
     """
     if c.ndim != 2:
         raise CompatibilityError("decomposition applies to two-dimensional copulas")
@@ -178,7 +180,9 @@ def birkhoff_decompose(c: CheckerboardCopula):
             match = [-1] * n
             perm = _kuhn(adj, match)
         if perm is None:
-            raise InternalError("no permutation found in a doubly stochastic support")
+            raise UnsupportedError(
+                f"no permutation left: cells at or below {_DUST!r} strand the rest of the support"
+            )
         flat = starts + perm
         cells = live[flat].tolist()
         theta = min(cells)

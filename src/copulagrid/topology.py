@@ -3,24 +3,25 @@
 The extended line is compactified by ``phi(x) = 1/2 + arctan(x)/pi`` and
 distances between discrete measures are exact Wasserstein-1 values under the
 ground metric ``max_j |phi(x_j) - phi(y_j)|``, solved as a minimum-cost
-transportation problem by the network simplex method with fully
-deterministic pivoting (north-west corner start, most negative reduced cost,
-lowest-index tie-breaks, lowest-index anti-cycling fallback).  The basis is a
-spanning tree rooted at the first row, the solver's only state: each other
-node carries its parent arc's flat cell, cost and flow, and a pivot moves the
-subtree cut off by the leaving arc, handing the arcs down the re-rooted chain,
-and re-prices only that subtree, writing its potentials into the one buffer
-of doubles that numpy prices in place.  Costs are read once per node, then
-once per pivot, so outside its pivots a call costs one pass over the nodes
-and a few numpy calls per step.  The solver returns a plain record: the
-dense plan of the problem it was given, written with one store after the
-last pivot, both potentials, the pivots, the degenerate ones, and whether
-the lowest-index rule took over.  :func:`transport_plan` solves only the
-difference of the two measures, certifies the plan and potentials of the
-full problem, and builds its result in one call, with one storage: the
-plan's support and the supports' coordinates, from which ``plan`` and
-``cost`` are rebuilt on each access.  In floating point ``phi`` rounds every
-``|x|`` above about ``1e16`` to 0 or 1, so the distances are pseudometrics.
+transportation problem by the network simplex method with fully deterministic
+pivoting (a least-cost start, north-west on one-dimensional supports, most
+negative reduced cost, lowest-index tie-breaks, lowest-index anti-cycling
+fallback).  The basis is a spanning tree rooted at the first row, the solver's
+only state: each other node carries its parent arc's flat cell, cost and flow,
+and a pivot moves the subtree cut off by the leaving arc, handing the arcs
+down the re-rooted chain, and re-prices only that subtree, writing its
+potentials into the one buffer of doubles that numpy prices in place.  Costs
+are read once per node, then once per pivot, so outside its pivots a call
+costs one pass over the nodes and a few numpy calls per step.  The solver
+returns a plain record: the dense plan of the problem it was given, written
+with one store after the last pivot, both potentials, the pivots, the
+degenerate ones, and whether the lowest-index rule took over.
+:func:`transport_plan` solves only the difference of the two measures,
+certifies the plan and potentials of the full problem, and builds its result
+in one call, with one storage: the plan's support and the supports'
+coordinates, from which ``plan`` and ``cost`` are rebuilt on each access.  In
+floating point ``phi`` rounds every ``|x|`` above about ``1e16`` to 0 or 1, so
+the distances are pseudometrics.
 
 Families are compared by a capped, geometrically weighted sum of transport
 distances over the canonical subset enumeration, which metrizes convergence
@@ -169,34 +170,50 @@ def _max_cost(cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> _Solution:
+def _solve_transport(
+    a: np.ndarray, b: np.ndarray, cost: np.ndarray, least_cost: bool
+) -> _Solution:
     m, n = cost.shape
     # the basis is a spanning tree over rows 0..m-1 and columns m..m+n-1,
     # rooted at row 0 and kept between pivots; each other node carries its arc
     # to its parent: the arc's flat cell i * n + j, its cost and its flow.
-    # The north-west corner lays the tree out as a staircase, each new node
-    # (row i or column j, just stepped) hanging by cell (i, j) from the
-    # cell's other end, the first (column 0) from row 0
+    # One crossing-out walk lays it out: a cell whose row and column are both
+    # left enters with flow min(ra[i], rb[j]) and crosses out its row (if it
+    # keeps no more than the column and is not the last row, or the column is
+    # the last) or else its column, hung from the cell's other end; the line
+    # left is the root, and the chain up from row 0 is reversed.  Cells come
+    # cheapest first (ties to the lowest flat index) from the stable argsort
+    # in blocks; sorted 1-d supports have a Monge cost, on which the
+    # north-west corner (the lowest row and column left) is already optimal
     ra, rb = a.tolist(), b.tolist()
-    parent = [0] * (m + n)
-    flow = [0.0] * (m + n)
-    cell = [0] * (m + n)
-    children = [[] for _ in range(m + n)]
-    children[0].append(m)
-    node, i, j = m, 0, 0
-    while True:
-        flow[node] = amt = min(ra[i], rb[j])
-        cell[node] = i * n + j
-        ra[i] -= amt
-        rb[j] -= amt
-        if i == m - 1 and j == n - 1:
+    out, rows, cols = bytearray(m + n), m, n  # the crossed-out lines, and those left
+
+    def cheapest():
+        crossed, order = np.frombuffer(out, np.bool_), cost.argsort(axis=None, kind="stable")
+        for k in range(0, m * n, 1024):
+            i, j = np.divmod(order[k : k + 1024], n)
+            keep = ~(crossed[i] | crossed[m + j])  # lines crossed out before the block
+            yield from zip(i[keep].tolist(), j[keep].tolist())
+
+    parent, flow, cell = [0] * (m + n), [0.0] * (m + n), [0] * (m + n)
+    for i, j in cheapest() if least_cost else iter(lambda: (m - rows, n - cols), None):
+        if out[i] or out[m + j]:
+            continue
+        amt = min(ra[i], rb[j])
+        ra[i], rb[j] = ra[i] - amt, rb[j] - amt
+        row = (ra[i] <= rb[j] and rows > 1) or cols == 1
+        node, other = (i, m + j) if row else (m + j, i)
+        rows, cols = rows - row, cols - (not row)
+        out[node], parent[node], cell[node], flow[node] = 1, other, i * n + j, amt
+        if rows + cols == 1:
             break
-        if (ra[i] == 0.0 and i < m - 1) or j == n - 1:
-            i += 1
-            node, parent[i] = i, m + j
-        else:
-            j += 1
-            node, parent[m + j] = m + j, i
+    chain = [0]
+    while out[chain[-1]]:
+        chain.append(parent[chain[-1]])
+    for up, node in zip(chain[-2::-1], chain[:0:-1]):
+        parent[node], cell[node], flow[node] = up, cell[up], flow[up]
+    children = [[] for _ in range(m + n)]
+    for node in range(1, m + n):
         children[parent[node]].append(node)
     depth = [0] * (m + n)
     # the tree walk writes potentials into one buffer that pricing reads in place
@@ -216,7 +233,6 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> _Solutio
             pot[node] = arc_cost[node] - pot[up]
             stack += children[node]
 
-    # the staircase can hang several columns from row 0: price them all
     hang(list(children[0]))
     rc = np.empty((m, n))
     max_pivots = _PIVOT_BUDGET + _PIVOT_BUDGET_PER_NODE * (m + n)
@@ -349,7 +365,7 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     if rows.size and cols.size:
         block = rows[:, None], cols
         value, reduced, _, v_cols, pivots, degenerate, bland = _solve_transport(
-            ra[rows], rb[cols], cost[block]
+            ra[rows], rb[cols], cost[block], len(cols_a) > 1
         )
         plan[block] += reduced
         u = (cost[:, cols] - v_cols).min(axis=1)

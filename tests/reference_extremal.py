@@ -12,7 +12,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from copulagrid.copulas import CheckerboardCopula
-from copulagrid.errors import CompatibilityError, DomainError, InternalError, ValidationError
+from copulagrid.errors import (
+    CompatibilityError,
+    DomainError,
+    InternalError,
+    UnsupportedError,
+    ValidationError,
+)
 from copulagrid.extremal import _DUST, DOUBLY_STOCHASTIC_TOL
 from copulagrid.measures import canonical_labels
 
@@ -100,7 +106,9 @@ def birkhoff_decompose(c: CheckerboardCopula):
             # any permutation of the support still zeroes its own minimum
             perm = _perfect_matching(support)
         if perm is None:
-            raise InternalError("no permutation found in a doubly stochastic support")
+            raise UnsupportedError(
+                "no permutation left: cells at or below 1e-13 strand the rest of the support"
+            )
         theta = min(float(work[i, perm[i]]) for i in range(n))
         for i in range(n):
             work[i, perm[i]] -= theta

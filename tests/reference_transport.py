@@ -3,8 +3,10 @@
 A test-only oracle: it rebuilds the basis tree from scratch on every pivot, so
 it is slow, but it follows the same initial basis, pivot rules and float
 operations as :func:`copulagrid.topology._solve_transport`, and returns the
-same record.  The two must agree bit for bit in value, plan, both potentials
-and pivot count.
+same record.  It lays out the initial basis with its own plain crossing-out
+walk (sets of the lines left, a stable ``sorted`` of the cells by cost),
+which shares no code with the library's blocked argsort.  The two must
+agree bit for bit in value, plan, both potentials and pivot count.
 """
 
 from collections import deque
@@ -75,26 +77,31 @@ def _tree_path(basis, start, goal, m):
     return arcs
 
 
-def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> _Solution:
+def _solve_transport(
+    a: np.ndarray, b: np.ndarray, cost: np.ndarray, least_cost: bool
+) -> _Solution:
     m, n = cost.shape
     plan = np.zeros((m, n))
     ra, rb = a.copy(), b.copy()
+    # the crossing-out walk, plainly: the lines not crossed out, and the cells
+    # by cost with ties to the lowest flat index (sorted is stable), read once
+    rows, cols = set(range(m)), set(range(n))
+    pending = iter(sorted(range(m * n), key=lambda k: cost[k // n, k % n]))
     basis = []
-    i = j = 0
-    while True:
+    while len(basis) < m + n - 1:
+        if least_cost:
+            i, j = next(divmod(k, n) for k in pending if k // n in rows and k % n in cols)
+        else:
+            i, j = min(rows), min(cols)
         amt = ra[i] if ra[i] <= rb[j] else rb[j]
         plan[i, j] = amt
         ra[i] -= amt
         rb[j] -= amt
         basis.append((i, j))
-        if i == m - 1 and j == n - 1:
-            break
-        if ra[i] == 0.0 and i < m - 1:
-            i += 1
-        elif j < n - 1:
-            j += 1
+        if (ra[i] <= rb[j] and len(rows) > 1) or len(cols) == 1:
+            rows.remove(i)
         else:
-            i += 1
+            cols.remove(j)
     basis_set = set(basis)
     basis = sorted(basis_set)
     max_pivots = 50000 + 100 * (m + n)

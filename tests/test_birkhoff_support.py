@@ -16,7 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from copulagrid import CheckerboardCopula, CopulaGridError, birkhoff_decompose, make_independence
+from copulagrid import (
+    CheckerboardCopula,
+    CopulaGridError,
+    InternalError,
+    UnsupportedError,
+    birkhoff_decompose,
+    make_independence,
+)
 from copulagrid.extremal import _DUST
 from helpers import NO_PERMUTATION, gated_birkhoff
 from reference_extremal import _perfect_matching as reference_matching
@@ -192,6 +199,16 @@ near_dust = st.floats(_DUST, 1.2e-13, exclude_min=True)
 def test_the_stop_rule_on_nine_to_eleven_cells_matches_reference(order, cells):
     want = IDENTITY_ONLY if left_over(stranded(order, cells)) <= 1e-12 else NO_PERMUTATION
     assert stop_outcome(order, cells) == want
+
+
+def test_a_stranded_dusty_case_is_refused_as_unsupported():
+    # it passes the doubly stochastic check, but once the identity is
+    # subtracted the diagonal is dust, and the nine cells above it, which sum
+    # above 1e-12, hold no permutation
+    c = stranded(9, [1.15e-13] * 9)
+    with pytest.raises(UnsupportedError, match="cells at or below 1e-13 strand") as info:
+        birkhoff_decompose(c)
+    assert not isinstance(info.value, InternalError)
 
 
 def test_the_stop_rule_cases_reach_both_sides_of_the_threshold():

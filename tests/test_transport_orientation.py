@@ -73,16 +73,16 @@ def test_a_measure_against_itself_is_its_own_transpose():
 SOLVE = topology._solve_transport
 
 
-def broken_plan(a, b, cost):
-    res = SOLVE(a, b, cost)
+def broken_plan(a, b, cost, least_cost):
+    res = SOLVE(a, b, cost, least_cost)
     res.plan[0, 0] += 0.25
     return res
 
 
-def broken_duals(a, b, cost):
+def broken_duals(a, b, cost, least_cost):
     # one column's dual moved alone: the c-transform keeps the duals feasible,
     # so complementary slackness is what breaks (a uniform shift would cancel)
-    res = SOLVE(a, b, cost)
+    res = SOLVE(a, b, cost, least_cost)
     res.col_potentials[0] -= 10.0
     return res
 

@@ -25,7 +25,7 @@ def unreduced(a, b):
     pa, ma = topology._support(a)
     pb, mb = topology._support(b)
     cost = np.max(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2)
-    return reference_solve(ma, mb, cost), {"cost": cost, "row_masses": ma, "col_masses": mb}
+    return reference_solve(ma, mb, cost, a.ndim > 1), {"cost": cost, "row_masses": ma, "col_masses": mb}
 
 
 def check_reduction(a, b):

@@ -21,6 +21,11 @@ To compare two trees, give ``--src`` twice::
 Each tree is hashed in its own process, so the two never share an imported
 module.  Both hashes are printed, each with its tree, then ``equal`` or
 ``differ``; the exit status is 1 when they differ and 2 when a tree fails.
+With ``--list``, a line before the verdict gives how many operations' lines
+differ, and the largest absolute difference between their values: the
+floats in each pair of lines, paired in order (``inf`` when their counts
+differ).  Integers (pivots, counts, permutation entries) are counters, not
+values, and stay out of the figure; the listed lines show them.
 """
 
 import os
@@ -43,10 +48,15 @@ sys.dont_write_bytecode = True
 
 import argparse
 import hashlib
+import math
+import re
 import subprocess
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+#: a number in a listed line, not inside a word; the floats among them are the values
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:inf|nan|\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)(?![\w.])")
 
 
 def parse_args(argv):
@@ -64,11 +74,29 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
+def values(line):
+    return [float(t) for t in NUMBER.findall(line) if not t.lstrip("+-").isdigit()]
+
+
+def largest_difference(ours, theirs) -> str:
+    """How far the values of the operations whose listed lines differ lie apart.
+
+    Both trees run this checkout's workloads, so their lines pair up in order.
+    """
+    differ = [(values(x), values(y)) for x, y in zip(ours, theirs) if x != y]
+    largest = 0.0
+    for xs, ys in differ:
+        # equal infinities do not differ; values that do not pair up differ by inf
+        gaps = [abs(p - q) for p, q in zip(xs, ys) if p != q] if len(xs) == len(ys) else [math.inf]
+        largest = max([largest, *gaps])
+    return f"largest difference {largest!r} in {len(differ)} of {len(ours)} operations"
+
+
 def compare(args) -> int:
     """Hash each tree in a process of its own and say whether the hashes agree."""
     flags = ["--workload", args.workload, "--seeds", *map(str, args.seeds)]
     flags += ["--smoke"] * args.smoke + ["--list"] * args.list
-    hashes = []
+    hashes, listings = [], []
     for tree in args.src:
         proc = subprocess.run(
             [sys.executable, __file__, "--src", tree, *flags], capture_output=True, text=True
@@ -81,6 +109,9 @@ def compare(args) -> int:
             print(line)
         print(f"{digest}  {tree}")
         hashes.append(digest)
+        listings.append(listed)
+    if args.list:
+        print(largest_difference(*listings))
     print("equal" if hashes[0] == hashes[1] else "differ")
     return 0 if hashes[0] == hashes[1] else 1
 
