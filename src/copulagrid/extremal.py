@@ -80,17 +80,6 @@ def _support_rows(support: np.ndarray) -> list:
     return [int.from_bytes(row, "little") for row in packed.tolist()]
 
 
-def _perfect_matching(support: np.ndarray, forced: tuple = (-1, -1)):
-    """Perfect matching of the support, containing the edge ``forced`` if given.
-
-    :func:`_kuhn` from the matching that holds ``forced`` alone; the support
-    is read once, into row bitmasks, by :func:`_support_rows`.
-    """
-    i0, j0 = forced
-    match = [i0 if col == j0 else -1 for col in range(len(support))]
-    return _kuhn(_support_rows(support), match, j0)
-
-
 def _kuhn(adj: list, match: list, blocked: int = -1):
     """Extend ``match`` to a perfect matching of the support whose row ``i`` has bitmask ``adj[i]``.
 

@@ -258,6 +258,24 @@ def _boundaries(levels: np.ndarray, n: int):
     return k, np.abs(scaled - k) <= _BOUNDARY_SNAP * n
 
 
+def _hits_every_boundary(levels, n: int) -> bool:
+    """Whether the CDF levels hit every interior order-``n`` cell boundary on every axis."""
+    boundaries = (_boundaries(level, n) for level in levels)
+    return all(set(k[near].tolist()) >= set(range(1, n)) for k, near in boundaries)
+
+
+def _binned(t: TensorMeasure, levels, n: int) -> CheckerboardCopula:
+    """The mass of ``t`` binned onto an order-``n`` checkerboard by its snapped CDF levels."""
+    bounds = _bounds(n)
+    cells = []
+    for level in levels:
+        k, near = _boundaries(level, n)
+        cells.append(np.clip(np.searchsorted(bounds, np.where(near, k / n, level)) - 1, 0, n - 1))
+    out = np.zeros((n,) * t.ndim)
+    np.add.at(out, tuple(np.meshgrid(*cells, indexing="ij")), t.mass)
+    return CheckerboardCopula(t.labels, n, out)
+
+
 def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardCopula:
     """Recover the checkerboard copula of a joint with continuous marginals.
 
@@ -266,16 +284,15 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
     be continuous (atomic marginals make the copula non-unique and are
     rejected) and must match the tensor's own margins at the grid points.
 
-    The order must be compatible with the CDF images of the grid points: mass
-    cut by a cell boundary that no image level hits cannot produce uniform
-    margins.  The error then names as "smallest compatible order" the smallest
-    order whose interior boundaries the images all hit; its margins go
-    unchecked, so it can be refused itself.  Where every boundary is hit and
-    the margins still miss uniform by more than the tolerance, the error says so.
+    The order must be compatible with the CDF levels of the grid points: mass
+    cut by a cell boundary that no level hits cannot produce uniform margins.
+    The error then names as "smallest compatible order" the smallest order
+    >= 2 whose interior boundaries the levels all hit and that is accepted, if
+    any.  Where every boundary is hit and the margins still miss uniform by
+    more than the tolerance, the error says so and names no order.
     """
     n = _checked_order(order)
-    bounds = _bounds(n)
-    images, cells = [], []
+    levels = []
     for lab, axis in zip(t.labels, t.grid):
         m = _marginal_for(marginals, lab)
         if m.kind != CONTINUOUS:
@@ -290,42 +307,24 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
             raise CompatibilityError(
                 f"marginal for {lab!r} deviates from the tensor margin by {dev!r}"
             )
-        k, near = _boundaries(stated, n)
-        image = np.where(near, k / n, stated)
-        images.append(image)
-        cells.append(np.clip(np.searchsorted(bounds, image) - 1, 0, n - 1))
-    out = np.zeros((n,) * t.ndim)
-    np.add.at(out, tuple(np.meshgrid(*cells, indexing="ij")), t.mass)
-    copula = CheckerboardCopula(t.labels, n, out)
+        levels.append(stated)
+    copula = _binned(t, levels, n)
     report = validate_copula(copula)
-    if not report.passed:
-        if _hits_every_boundary(images, n):
-            detail = (
-                "; every cell boundary is hit, and the margin deviation exceeds "
-                f"the tolerance {MARGIN_TOL!r}"
-            )
-        else:
-            hint = _minimal_compatible_order(images)
-            detail = f"; smallest compatible order is {hint}" if hint else ""
-        raise ValidationError(
-            f"order {n} is incompatible with the CDF images "
-            f"(margin deviation {report.max_deviation!r}){detail}"
+    if report.passed:
+        return copula
+    if _hits_every_boundary(levels, n):
+        detail = (
+            "; every cell boundary is hit, and the margin deviation exceeds "
+            f"the tolerance {MARGIN_TOL!r}"
         )
-    return copula
-
-
-def _minimal_compatible_order(images):
-    """Smallest order >= 2 whose interior cell boundaries are all hit by CDF images."""
-    # an order c needs c - 1 interior boundaries hit on every axis, and each
-    # distinct image strictly inside (0, 1) hits at most one
-    fewest = min(np.unique(image[(image > 0.0) & (image < 1.0)]).size for image in images)
-    for cand in range(2, min(_HINT_MAX_ORDER, fewest + 1) + 1):
-        if _hits_every_boundary(images, cand):
-            return cand
-    return None
-
-
-def _hits_every_boundary(images, n: int) -> bool:
-    """Whether the CDF images hit every interior order-``n`` cell boundary on every axis."""
-    boundaries = (_boundaries(image, n) for image in images)
-    return all(set(k[near].tolist()) >= set(range(1, n)) for k, near in boundaries)
+    else:
+        # each of an order's c - 1 interior boundaries needs its own level inside (0, 1)
+        fewest = min(np.unique(lv[(lv > 0.0) & (lv < 1.0)]).size for lv in levels)
+        orders = range(2, min(_HINT_MAX_ORDER, fewest + 1) + 1)
+        fits = (c for c in orders if _hits_every_boundary(levels, c))
+        hint = next((c for c in fits if validate_copula(_binned(t, levels, c)).passed), None)
+        detail = f"; smallest compatible order is {hint}" if hint else ""
+    raise ValidationError(
+        f"order {n} is incompatible with the CDF images "
+        f"(margin deviation {report.max_deviation!r}){detail}"
+    )

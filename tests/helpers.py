@@ -11,7 +11,7 @@ import pytest
 
 from copulagrid import Marginal, TensorMeasure, birkhoff_decompose
 from copulagrid.errors import UnsupportedError
-from copulagrid.extremal import _DUST
+from copulagrid.extremal import _DUST, _kuhn, _support_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "copulagrid"
 
@@ -126,6 +126,17 @@ def has_perfect_matching(support):
         return True
     rows, cols = linear_sum_assignment(-support.astype(float))
     return int(support[rows, cols].sum()) == support.shape[0]
+
+
+def perfect_matching(support, forced=(-1, -1)):
+    """Perfect matching of the support, containing the edge ``forced`` if given.
+
+    ``extremal._kuhn`` from the matching that holds ``forced`` alone; the
+    support is read once, into row bitmasks, by ``extremal._support_rows``.
+    """
+    i0, j0 = forced
+    match = [i0 if col == j0 else -1 for col in range(len(support))]
+    return _kuhn(_support_rows(support), match, j0)
 
 
 def without(support, i0, j0):

@@ -25,8 +25,9 @@ from copulagrid import (
     make_independence,
     random_copula,
 )
-from copulagrid.extremal import _kuhn, _perfect_matching, _support_rows
+from copulagrid.extremal import _kuhn, _support_rows
 from helpers import has_perfect_matching, replay_birkhoff, without
+from helpers import perfect_matching as _perfect_matching
 from reference_extremal import _perfect_matching as reference_matching
 from reference_extremal import birkhoff_decompose as reference_decompose
 

@@ -29,8 +29,9 @@ from copulagrid import (
     validate_copula,
 )
 from copulagrid.cli import _FUNCTIONALS
-from copulagrid.extremal import ConvexSearchResult, _perfect_matching
+from copulagrid.extremal import ConvexSearchResult
 from helpers import has_perfect_matching, replay_birkhoff, without
+from helpers import perfect_matching as _perfect_matching
 from reference_extremal import _perfect_matching as reference_matching
 from reference_extremal import permutation_copula as reference_permutation
 

@@ -20,7 +20,7 @@ from copulagrid import (
     to_tensor_measure,
     transport_plan,
 )
-from copulagrid.extremal import _perfect_matching
+from helpers import perfect_matching as _perfect_matching
 
 
 def same_bits(r1, r2):
