@@ -10,12 +10,15 @@ fallback).  The basis is a spanning tree rooted at the first row, the solver's
 only state: each other node carries its parent arc's flat cell, cost and flow,
 and a pivot moves the subtree cut off by the leaving arc, handing the arcs
 down the re-rooted chain, and re-prices only that subtree, writing its
-potentials into the one buffer of doubles that numpy prices in place.  Costs
+potentials into the one buffer of doubles that numpy prices in place.  A
+solve of 1,024 cells or more prices by candidate list: between two full
+pricings it re-prices only the cells the last one found negative.  Costs
 are read once per node, then once per pivot, so outside its pivots a call
 costs one pass over the nodes and a few numpy calls per step.  The solver
 returns a plain record: the dense plan of the problem it was given, written
 with one store after the last pivot, both potentials, the pivots, the
-degenerate ones, and whether the lowest-index rule took over.
+degenerate ones, whether the lowest-index rule took over, and the full
+pricings.
 :func:`transport_plan` solves only the difference of the two measures,
 certifies the plan and potentials of the full problem, and builds its result
 in one call, with one storage: the plan's support and the supports'
@@ -96,12 +99,16 @@ _PIVOT_BUDGET_PER_NODE = 100
 #: degenerate pivots in a row, beyond one per row and column, before the
 #: lowest-index entering rule takes over
 _DEGENERATE_SLACK = 50
+#: the least-cost walk reads its sorted cells in blocks of this size, and a
+#: solve of at least this many cells prices by candidate list
+_CELL_BLOCK = 1024
 
 
 #: the solver's record: the dense plan of the problem it was given, its duals and counters
 _Solution = namedtuple(
     "_Solution",
-    "value plan row_potentials col_potentials pivots degenerate_pivots lowest_index_rule",
+    "value plan row_potentials col_potentials pivots degenerate_pivots lowest_index_rule"
+    " full_pricings",
 )
 
 
@@ -122,9 +129,11 @@ class TransportResult:
     row_masses: np.ndarray
     col_masses: np.ndarray
     pivots: int
-    #: pivots that moved no flow; whether the lowest-index entering rule took over
+    #: pivots that moved no flow; whether the lowest-index entering rule took
+    #: over; pricings of every cell, the last one included
     degenerate_pivots: int
     lowest_index_rule: bool
+    full_pricings: int
     _support: np.ndarray
     _support_mass: np.ndarray
     _cols_a: np.ndarray
@@ -190,8 +199,8 @@ def _solve_transport(
 
     def cheapest():
         crossed, order = np.frombuffer(out, np.bool_), cost.argsort(axis=None, kind="stable")
-        for k in range(0, m * n, 1024):
-            i, j = np.divmod(order[k : k + 1024], n)
+        for k in range(0, m * n, _CELL_BLOCK):
+            i, j = np.divmod(order[k : k + _CELL_BLOCK], n)
             keep = ~(crossed[i] | crossed[m + j])  # lines crossed out before the block
             yield from zip(i[keep].tolist(), j[keep].tolist())
 
@@ -236,21 +245,38 @@ def _solve_transport(
     hang(list(children[0]))
     rc = np.empty((m, n))
     max_pivots = _PIVOT_BUDGET + _PIVOT_BUDGET_PER_NODE * (m + n)
-    pivots = degenerate = degenerate_run = 0
-    blands_rule = False
+    pivots = degenerate = degenerate_run = full = 0
+    blands_rule, listed = False, None
     while True:
-        np.subtract(cost, ucol, out=rc)
-        np.subtract(rc, v, out=rc)
-        flat = int(rc.argmin())
-        if not rc.item(flat) < -_PIVOT_TOL:
-            break
-        if pivots >= max_pivots:
-            raise InternalError("transport solver exceeded its pivot budget")
         # most negative reduced cost enters, ties and the leaving arc resolved
         # by lowest index; a long degenerate run flips to the lowest-index
-        # entering rule outright, which cannot cycle
-        if blands_rule:
-            flat = int(np.argmax(rc < -_PIVOT_TOL))
+        # entering rule outright, which cannot cycle.  A solve of at least
+        # _CELL_BLOCK cells lists the cells its last full pricing found
+        # negative, in flat order, and re-prices only those, with the same
+        # (cost - u) - v, until none is negative; then it prices every cell
+        # again.  The lowest-index rule and smaller solves price every cell
+        flat = -1
+        if listed is not None:
+            cells, listed_cost, at_row, at_col = listed
+            r = listed_cost - potential.take(at_row) - potential.take(at_col)
+            k = int(r.argmin())
+            if r.item(k) < -_PIVOT_TOL:
+                flat = cells.item(k)
+        if flat < 0:
+            np.subtract(cost, ucol, out=rc)
+            np.subtract(rc, v, out=rc)
+            full += 1
+            flat = int(rc.argmin())
+            if not rc.item(flat) < -_PIVOT_TOL:
+                break
+            if blands_rule:
+                flat = int(np.argmax(rc < -_PIVOT_TOL))
+            elif m * n >= _CELL_BLOCK:
+                cells = np.flatnonzero(rc < -_PIVOT_TOL)
+                at_row, at_col = np.divmod(cells, n)
+                listed = cells, cost.take(cells), at_row, at_col + m
+        if pivots >= max_pivots:
+            raise InternalError("transport solver exceeded its pivot budget")
         ei, ej = divmod(flat, n)
         # the cycle closed by the entering arc: both ends climb to their
         # meeting node, each tree node standing for the arc to its parent;
@@ -297,13 +323,13 @@ def _solve_transport(
             degenerate += 1
             degenerate_run += 1
             if degenerate_run > _DEGENERATE_SLACK + m + n:
-                blands_rule = True
+                blands_rule, listed = True, None
         else:
             degenerate_run = 0
     plan = np.zeros((m, n))
     plan.put(cell[1:], flow[1:])
     value = float((cost * plan).sum())
-    return _Solution(value, plan, u.copy(), v.copy(), pivots, degenerate, blands_rule)
+    return _Solution(value, plan, u.copy(), v.copy(), pivots, degenerate, blands_rule, full)
 
 
 def _support(t: GridMeasure):
@@ -360,11 +386,11 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
     ra, rb = np.array(ra), np.array(rb)
     (rows,), (cols,) = (ra > 0.0).nonzero(), (rb > 0.0).nonzero()
     u, v = np.zeros(m), np.zeros(n)
-    value, pivots, degenerate, bland = 0.0, 0, 0, False
+    value, pivots, degenerate, bland, full = 0.0, 0, 0, False, 0
     # residual mass on one side only is rounding, below MASS_TOL: nothing to move
     if rows.size and cols.size:
         block = rows[:, None], cols
-        value, reduced, _, v_cols, pivots, degenerate, bland = _solve_transport(
+        value, reduced, _, v_cols, pivots, degenerate, bland, full = _solve_transport(
             ra[rows], rb[cols], cost[block], len(cols_a) > 1
         )
         plan[block] += reduced
@@ -388,7 +414,7 @@ def transport_plan(a: GridMeasure, b: GridMeasure) -> TransportResult:
         support = support % n * m + support // n  # cell i * n + j moves to j * m + i
         cols_a, cols_b, u, v, ma, mb = cols_b, cols_a, v, u, mb, ma
     return TransportResult(
-        value, u, v, ma, mb, pivots, degenerate, bland, support, support_mass, cols_a, cols_b
+        value, u, v, ma, mb, pivots, degenerate, bland, full, support, support_mass, cols_a, cols_b
     )
 
 

@@ -5,12 +5,15 @@
 ``copulas._contract``: one ``np.tensordot`` per axis, and one ``joint_cdf``
 and one ``cdf_eval_tensor`` call per probe.  ``check_tensor`` is that probe
 loop against a given tensor, as the CLI's ``decompose`` ran it.
-``decompose`` and ``_minimal_compatible_order`` are as they were before one
-loop per axis snapped and binned the CDF images under one boundary rule: a
-snapping loop, a binning loop, and a third copy of the snap test in the hint.
-The one later edit is in an error branch: ``cdf_eval_copula`` refuses an
-argument that is not a real number, or lies beyond the float range, with the
-library's ``DomainError``.  The library must agree with them bit for bit.
+``decompose`` keeps the form it had before one loop per axis snapped and
+binned the CDF images under one boundary rule: a snapping loop, a binning
+loop, and a third copy of the snap test in the boundary check.  The later
+edits are in error branches: ``cdf_eval_copula`` refuses an argument that is
+not a real number, or lies beyond the float range, with the library's
+``DomainError``; and a refused order names as "smallest compatible order" the
+first order whose boundaries the CDF levels all hit and whose two-loop
+binning ``validate_copula`` accepts, or says that every boundary of the
+refused order is hit.  The library must agree with them bit for bit.
 """
 
 import math
@@ -19,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from copulagrid.copulas import CheckerboardCopula, _checked_order, validate_copula
+from copulagrid.copulas import MARGIN_TOL, CheckerboardCopula, _checked_order, validate_copula
 from copulagrid.errors import (
     CompatibilityError,
     ConfigurationError,
@@ -127,12 +130,12 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
     be continuous (atomic marginals make the copula non-unique and are
     rejected) and must match the tensor's own margins at the grid points.
 
-    The order must be compatible with the CDF images of the grid points: mass
-    cut by a cell boundary that no image level hits cannot produce uniform
-    margins, in which case the error names the smallest compatible order.
+    The order must be compatible with the CDF levels of the grid points: mass
+    cut by a cell boundary that no level hits cannot produce uniform margins,
+    in which case the error names the smallest order that is accepted.
     """
     n = _checked_order(order)
-    image_axes = []
+    levels = []
     for lab, axis in zip(t.labels, t.grid):
         try:
             m = marginals[lab]
@@ -151,6 +154,29 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
             raise CompatibilityError(
                 f"marginal for {lab!r} deviates from the tensor margin by {dev!r}"
             )
+        levels.append(stated)
+    copula = _two_loop_binned(t, levels, n)
+    report = validate_copula(copula)
+    if not report.passed:
+        if _boundaries_hit(levels, n):
+            detail = (
+                "; every cell boundary is hit, and the margin deviation exceeds "
+                f"the tolerance {MARGIN_TOL!r}"
+            )
+        else:
+            hint = _minimal_compatible_order(t, levels)
+            detail = f"; smallest compatible order is {hint}" if hint else ""
+        raise ValidationError(
+            f"order {n} is incompatible with the CDF images "
+            f"(margin deviation {report.max_deviation!r}){detail}"
+        )
+    return copula
+
+
+def _two_loop_binned(t: TensorMeasure, levels, n: int) -> CheckerboardCopula:
+    """The mass of ``t`` on an order-``n`` checkerboard: one loop snaps, a second bins."""
+    image_axes = []
+    for stated in levels:
         snapped = stated.copy()
         scaled = snapped * n
         near = np.abs(scaled - np.rint(scaled)) <= _BOUNDARY_SNAP * n
@@ -165,29 +191,25 @@ def decompose(t: TensorMeasure, marginals: Mapping, order: int) -> CheckerboardC
     out = np.zeros((n,) * t.ndim)
     mesh = np.meshgrid(*index_arrays, indexing="ij")
     np.add.at(out, tuple(mesh), t.mass)
-    copula = CheckerboardCopula(t.labels, n, out)
-    report = validate_copula(copula)
-    if not report.passed:
-        hint = _minimal_compatible_order(image_axes)
-        detail = f"; smallest compatible order is {hint}" if hint else ""
-        raise ValidationError(
-            f"order {n} is incompatible with the CDF images "
-            f"(margin deviation {report.max_deviation!r}){detail}"
-        )
-    return copula
+    return CheckerboardCopula(t.labels, n, out)
 
 
-def _minimal_compatible_order(image_axes, limit: int = 4096):
-    """Smallest order >= 2 whose interior cell boundaries are all hit by CDF images."""
+def _boundaries_hit(levels, cand: int) -> bool:
+    """Whether the CDF levels hit every interior cell boundary of order ``cand``."""
+    for img in levels:
+        scaled = img * cand
+        hits = np.abs(scaled - np.rint(scaled)) <= _BOUNDARY_SNAP * cand
+        achieved = set(np.rint(scaled[hits]).astype(int))
+        if not all(k in achieved for k in range(1, cand)):
+            return False
+    return True
+
+
+def _minimal_compatible_order(t: TensorMeasure, levels, limit: int = 4096):
+    """Smallest order >= 2 whose boundaries the levels all hit and whose binning is a copula."""
     for cand in range(2, limit + 1):
-        ok = True
-        for img in image_axes:
-            scaled = img * cand
-            hits = np.abs(scaled - np.rint(scaled)) <= _BOUNDARY_SNAP * cand
-            achieved = set(np.rint(scaled[hits]).astype(int))
-            if not all(k in achieved for k in range(1, cand)):
-                ok = False
-                break
-        if ok:
+        if _boundaries_hit(levels, cand) and validate_copula(
+            _two_loop_binned(t, levels, cand)
+        ).passed:
             return cand
     return None

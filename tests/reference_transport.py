@@ -5,8 +5,10 @@ it is slow, but it follows the same initial basis, pivot rules and float
 operations as :func:`copulagrid.topology._solve_transport`, and returns the
 same record.  It lays out the initial basis with its own plain crossing-out
 walk (sets of the lines left, a stable ``sorted`` of the cells by cost),
-which shares no code with the library's blocked argsort.  The two must
-agree bit for bit in value, plan, both potentials and pivot count.
+which shares no code with the library's blocked argsort, and prices every
+cell on every pivot, reading the candidate list as a mask over them.  The
+two must agree bit for bit in value, plan, both potentials and the counts
+of pivots and full pricings.
 """
 
 from collections import deque
@@ -108,22 +110,33 @@ def _solve_transport(
     pivots = 0
     degenerate = 0
     degenerate_run = 0
+    full_pricings = 0
     blands_rule = False
+    # the cells negative at the last full pricing, on problems of at least
+    # 1,024 cells and outside the lowest-index rule; None prices in full
+    listed = None
     while True:
         u, v = _tree_potentials(basis, cost, m, n)
         rc = cost - u[:, None] - v[None, :]
         negative = rc < -_PIVOT_TOL
-        if not negative.any():
-            break
-        if pivots >= max_pivots:
-            raise InternalError("transport solver exceeded its pivot budget")
         # most negative reduced cost enters, ties and the leaving arc resolved
         # by lowest index; a long degenerate run flips to the lowest-index
         # entering rule outright, which cannot cycle
-        if blands_rule:
-            flat = int(np.argmax(negative))
+        if listed is not None and (negative & listed).any():
+            # the most negative listed cell; ties to the lowest flat index
+            flat = int(np.argmin(np.where(listed, rc, np.inf)))
         else:
-            flat = int(np.argmin(rc))
+            full_pricings += 1
+            if not negative.any():
+                break
+            if blands_rule:
+                flat = int(np.argmax(negative))
+            else:
+                flat = int(np.argmin(rc))
+            if not blands_rule and m * n >= 1024:
+                listed = negative
+        if pivots >= max_pivots:
+            raise InternalError("transport solver exceeded its pivot budget")
         ei, ej = divmod(flat, n)
         path = _tree_path(basis, ei, m + ej, m)
         minus = path[0::2]
@@ -144,6 +157,7 @@ def _solve_transport(
             degenerate_run += 1
             if degenerate_run > 50 + m + n:
                 blands_rule = True
+                listed = None
         else:
             degenerate_run = 0
     u, v = _tree_potentials(basis, cost, m, n)
@@ -154,4 +168,4 @@ def _solve_transport(
     deviation = _slackness_deviation(plan, cost, u, v)
     if deviation > _SLACKNESS_TOL:
         raise InternalError(f"transport duals violate slackness by {deviation!r}")
-    return _Solution(value, plan, u, v, pivots, degenerate, blands_rule)
+    return _Solution(value, plan, u, v, pivots, degenerate, blands_rule, full_pricings)

@@ -60,11 +60,12 @@ CORPORA = {
     "different grids": different_grids_corpus,
 }
 
-#: SHA-256 of each corpus's results, recorded from the least-cost start; every
-#: value is within 2.3e-16 of the north-west start's
+#: SHA-256 of each corpus's results, recorded from the least-cost start with
+#: candidate-list pricing on solves of 1,024 cells or more; every value is
+#: within 1.4e-17 of full pricing's, which was within 2.3e-16 of the north-west start's
 PINNED = {
-    "2-d orders 1-16": "8e7b42e4f1f56b62179d54a6fe0b0018dfa202362ad17d6111fb0283426976fb",
-    "3-d orders 1-8": "c09fa4bf3226a55ff8575c536c23c5e0793dedec773d70cb9fbe33641f519bfc",
+    "2-d orders 1-16": "c1e92d0114f02701fcbdafa725f21d281b3e3d017b260fadb54ac3c0367722dd",
+    "3-d orders 1-8": "57dd6d6f15673d359da2125565711f3b818dcbd15923136261d06073bb6eed2f",
     "tie-heavy integer grids": "fa205b3424b2506fad1d04f119ad670c2ca8b8ec103687c765ec0d476e0cddc8",
     "different grids": "5c85edc0a750116462909ad974f6a6d42a3fc8a97e35497425900fd9f56db1f0",
 }

@@ -88,6 +88,7 @@ def margin_marginals(t):
 @example((2, 4, 3), 0, 6, 5)  # compatible: 6 divides the 12 levels per axis
 @example((2, 3, 2), 0, 4, 5)  # incompatible: the hint names 2
 @example((1, 1, 1), 2, 2, 9)  # one cell and two random levels: no order up to the limit
+@example((2, 4, 1), 0, 3, 177)  # order 2 hits every boundary but is refused: no hint
 def test_composed_joints_decompose_as_the_reference(shape, extra, order, seed):
     d, base, per_cell = shape
     rng = np.random.default_rng(seed)
