@@ -80,44 +80,60 @@ def _support_rows(support: np.ndarray) -> list:
     return [int.from_bytes(row, "little") for row in packed.tolist()]
 
 
-def _kuhn(adj: list, match: list, blocked: int = -1):
+def _kuhn(adj: list, match: list, blocked: int = -1, perm=None, flat=None, rows=0, vacant=0):
     """Extend ``match`` to a perfect matching of the support whose row ``i`` has bitmask ``adj[i]``.
 
     ``match`` maps columns to rows (``-1`` where free) inside the support and
-    is extended in place; the column ``blocked`` keeps its row.  Kuhn's
-    augmenting-path search seats the free rows in increasing order and
-    re-seats matched rows recursively.  Each free row starts from one mask of
-    unseen columns, built once per call (all but the blocked one), and takes
+    is extended in place; the column ``blocked`` keeps its row.  A path that
+    moves a row also updates ``perm`` (row to column) and ``flat`` (row ``i``'s
+    flat cell ``i * n + perm[i]``) in place; :func:`birkhoff_decompose` keeps
+    them from round to round with the bitmasks ``rows`` and ``vacant`` of the
+    free rows and free columns, and without ``perm`` all four are read from
+    ``match``.  Kuhn's augmenting-path search seats the free rows in
+    increasing order and re-seats matched rows recursively.  Each free row
+    starts from one mask of unseen columns (all but the blocked one) and takes
     as candidates the set bits of ``adj[row] & unseen``, lowest first,
     narrowed after each failed recursion has cleared the bits it saw: the
     columns a walk of the row's support in increasing order would try, in that
-    order.  From the matching that holds one forced edge alone this is the
-    from-scratch search through it.  Returns the permutation (row to column),
-    or ``None`` when no perfect matching keeps the blocked pair, from any start.
+    order.  A warm search, where a row besides the blocked column's is seated,
+    looks ahead (Duff's MC21): a row first takes the lowest free column of its
+    support, and re-seats rows only when it has none.  A cold search, from the
+    empty matching or from one forced edge alone, does not: it is the
+    from-scratch search.  Returns ``perm``, or ``None`` when no perfect
+    matching keeps the blocked pair, from any start.
     """
     n = len(adj)
+    if perm is None:
+        perm, flat = [-1] * n, [0] * n
+        for col, row in enumerate(match):
+            if row >= 0:
+                perm[row] = col
+        rows = sum(1 << row for row in range(n) if perm[row] < 0)
+        vacant = sum(1 << col for col in range(n) if match[col] < 0)
+    if n - rows.bit_count() <= (blocked >= 0):
+        vacant = 0  # a cold search does not look ahead
     fresh = ~(1 << blocked) if blocked >= 0 else -1
 
     def augment(row):
-        nonlocal unseen
-        free = adj[row] & unseen
+        nonlocal unseen, vacant
+        free = adj[row] & vacant or adj[row] & unseen
         while free:
             bit = free & -free
             unseen ^= bit
             col = bit.bit_length() - 1
             if match[col] == -1 or augment(match[col]):
-                match[col] = row
+                vacant &= ~bit
+                match[col], perm[row], flat[row] = row, col, row * n + col
                 return True
             free &= unseen
         return False
 
-    for row in sorted(set(range(n)).difference(match)):
+    while rows:
+        bit = rows & -rows
+        rows ^= bit
         unseen = fresh
-        if not augment(row):
+        if not augment(bit.bit_length() - 1):
             return None
-    perm = [-1] * n
-    for col, row in enumerate(match):
-        perm[row] = col
     return perm
 
 
@@ -130,15 +146,18 @@ def birkhoff_decompose(c: CheckerboardCopula):
     produced.  Returns ``(weight, permutation)`` pairs with nonnegative
     weights summing to one.  The support (cells above ``_DUST``) only loses
     cells, so its row bitmasks, count and flat ``live`` array (support masses,
-    ``inf`` elsewhere) are built once.  A round extends the last permutation:
-    its cells that left the support free their rows, the smallest cell is
-    seated in place of its row's and column's old partners, and
-    :func:`_kuhn` seats the free rows, a few augmenting paths rather than a
-    search from scratch; the terms depend on that path.  The permutation's
-    cells are then read with one gather and stored with one store, reduced as
-    Python floats.  11 cells above ``_DUST`` sum above ``1e-12`` in any order,
-    so the stop test sums the support only once 10 or fewer cells remain.
-    Cells at or below ``_DUST`` that strand the rest raise UnsupportedError.
+    ``inf`` elsewhere) are built once.  A round extends the last permutation,
+    kept from round to round with its column-to-row map, its flat cells and
+    the bitmasks of free rows and free columns: its cells that left the
+    support free their rows, the smallest cell is seated in place of its
+    row's and column's old partners, and :func:`_kuhn` seats the free rows,
+    looking ahead to free columns, so a round touches only the rows its
+    augmenting paths move; the terms depend on those paths.  The
+    permutation's cells are read with one gather, reduced with numpy and
+    stored with one store.  11 cells above ``_DUST`` sum above ``1e-12`` in
+    any order, so the stop test sums the support only once 10 or fewer cells
+    remain.  Cells at or below ``_DUST`` that strand the rest raise
+    UnsupportedError.
     """
     if c.ndim != 2:
         raise CompatibilityError("decomposition applies to two-dimensional copulas")
@@ -151,39 +170,44 @@ def birkhoff_decompose(c: CheckerboardCopula):
     adj = _support_rows(support)
     live = np.where(support, c.mass, np.inf).ravel()
     count = int(np.count_nonzero(support))
-    starts = np.arange(0, n * n, n)
     terms = []
     max_terms = n * n - 2 * n + 2
-    match, perm = [-1] * n, [-1] * n  # match: the last permutation's column -> row, less drops
+    match, perm, flat = [-1] * n, [-1] * n, np.zeros(n, dtype=np.intp)
+    rows = vacant = full = (1 << n) - 1  # the free rows and the free columns
     while count > 10 or float(live[live < np.inf].sum()) > 1e-12:
         if len(terms) >= max_terms:
             raise InternalError("decomposition exceeded its term budget")
-        i0, j0 = divmod(int(live.argmin()), n)
-        if perm[i0] >= 0:
-            match[perm[i0]] = -1
-        match[j0] = i0
-        perm = _kuhn(adj, match, j0)
-        if perm is None:
+        k = int(live.argmin())
+        i0, j0 = divmod(k, n)
+        theta = live.item(k)  # the smallest cell of every permutation through (i0, j0)
+        # the smallest cell's row and its column's row leave their seats for it
+        if not rows >> i0 & 1:
+            rows, vacant, match[perm[i0]] = rows | 1 << i0, vacant | 1 << perm[i0], -1
+        if match[j0] >= 0:
+            rows, vacant, match[j0] = rows | 1 << match[j0], vacant | 1 << j0, -1
+        match[j0], perm[i0], flat[i0] = i0, j0, k
+        if _kuhn(adj, match, j0, perm, flat, rows ^ 1 << i0, vacant ^ 1 << j0) is None:
             # near-degenerate ties can make the smallest entry unmatchable;
             # any permutation of the support still zeroes its own minimum
             match = [-1] * n
-            perm = _kuhn(adj, match)
-        if perm is None:
-            raise UnsupportedError(
-                f"no permutation left: cells at or below {_DUST!r} strand the rest of the support"
-            )
-        flat = starts + perm
-        cells = live[flat].tolist()
-        theta = min(cells)
-        cells = [cell - theta for cell in cells]
-        for i, cell in enumerate(cells):
-            if cell <= _DUST:
-                cells[i] = math.inf
-                adj[i] ^= 1 << perm[i]
-                match[perm[i]] = -1
-                count -= 1
-        live[flat] = cells
+            if _kuhn(adj, match, -1, perm, flat, full, full) is None:
+                raise UnsupportedError(
+                    f"no permutation left: cells at or below {_DUST!r} strand the rest of the"
+                    " support"
+                )
+            theta = float(live[flat].min())
+        cells = live[flat]
+        cells -= theta
         terms.append((theta * n, tuple(perm)))
+        drops = (cells <= _DUST).nonzero()[0].tolist()
+        count -= len(drops)
+        rows = vacant = 0  # the matching is perfect; the dropped cells free their rows
+        for i in drops:
+            cells[i] = math.inf
+            adj[i] ^= 1 << perm[i]
+            match[perm[i]] = -1
+            rows, vacant = rows | 1 << i, vacant | 1 << perm[i]
+        live[flat] = cells
     total = sum(w for w, _ in terms)
     return tuple((w / total, perm) for w, perm in terms)
 

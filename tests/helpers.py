@@ -128,6 +128,33 @@ def has_perfect_matching(support):
     return int(support[rows, cols].sum()) == support.shape[0]
 
 
+def highs_optimum(cost, a, b):
+    """Optimal value of the transport problem by HiGHS at tight tolerances.
+
+    The (m + n) x mn equality constraints are built sparse, so an unreduced
+    256 x 256 problem stays a few megabytes.
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    sparse = pytest.importorskip("scipy.sparse")
+    m, n = cost.shape
+    rows = sparse.kron(sparse.eye(m), np.ones((1, n)))
+    cols = sparse.kron(np.ones((1, m)), sparse.eye(n))
+    lp = linprog(
+        cost.ravel(),
+        A_eq=sparse.vstack([rows, cols]).tocsr(),
+        b_eq=np.concatenate([a, b]),
+        bounds=(0, None),
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+            "presolve": False,
+        },
+    )
+    assert lp.status == 0, lp.message
+    return lp.fun
+
+
 def perfect_matching(support, forced=(-1, -1)):
     """Perfect matching of the support, containing the edge ``forced`` if given.
 

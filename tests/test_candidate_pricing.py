@@ -15,38 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copulagrid import make_comonotone, make_independence, random_copula, topology, transport_plan
+from helpers import highs_optimum
 from reference_transport import _solve_transport as reference_solve
 from test_measure_core import draw_copula, same_bits
 from test_transport_solver import integer_grid_tensor, permutation_copula
 
 
-def sparse_highs_optimum(cost, a, b):
-    """Optimal value of the transport problem by HiGHS, with sparse constraints."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    sparse = pytest.importorskip("scipy.sparse")
-    m, n = cost.shape
-    rows = sparse.kron(sparse.eye(m), np.ones((1, n)))
-    cols = sparse.kron(np.ones((1, m)), sparse.eye(n))
-    lp = linprog(
-        cost.ravel(),
-        A_eq=sparse.vstack([rows, cols]).tocsr(),
-        b_eq=np.concatenate([a, b]),
-        bounds=(0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-            "presolve": False,
-        },
-    )
-    assert lp.status == 0, lp.message
-    return lp.fun
-
-
 def check_solve(a, b, cost, least_cost=True):
     """One solve: HiGHS's value, both certificates, and the reference's bits and counters."""
     res = topology._solve_transport(a, b, cost, least_cost)
-    assert abs(res.value - sparse_highs_optimum(cost, a, b)) <= 1e-9
+    assert abs(res.value - highs_optimum(cost, a, b)) <= 1e-9
     u, v = res.row_potentials, res.col_potentials
     assert topology._feasibility_deviation(res.plan, a, b) <= topology._FEASIBILITY_TOL
     assert topology._slackness_deviation(res.plan, cost, u, v) <= topology._SLACKNESS_TOL
@@ -195,3 +173,12 @@ def test_tie_heavy_problems_match_highs_and_the_reference(m, n, least_cost, seed
     rng = np.random.default_rng(seed)
     cost = rng.integers(0, 3, size=(m, n)) / 2.0
     check_solve(np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost, least_cost)
+
+
+def test_an_unreduced_256_by_256_copula_solve_matches_highs():
+    """Two order-16 copulas' atoms, all 256 on each side: 65,536 cells, sparse constraints."""
+    rng = np.random.default_rng(256)
+    a, b, cost = copula_problem(random_copula((0, 1), 16, rng), make_independence((0, 1), 16))
+    assert cost.shape == (256, 256)
+    res = check_solve(a, b, cost)
+    assert res.full_pricings < res.pivots + 1

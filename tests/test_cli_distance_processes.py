@@ -12,8 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from copulagrid import random_copula, serialize, topology, transport_plan
-from helpers import run_cli
-from test_candidate_pricing import recorded_solves, sparse_highs_optimum
+from helpers import highs_optimum, run_cli
+from test_candidate_pricing import recorded_solves
 
 
 def test_distance_prints_the_same_bytes_in_both_orders_and_hash_seeds(tmp_path):
@@ -36,5 +36,5 @@ def test_distance_prints_the_same_bytes_in_both_orders_and_hash_seeds(tmp_path):
         outputs = list(pool.map(printed, cases))
     assert len(set(outputs)) == 1
     res = transport_plan(a, b)
-    highs = sparse_highs_optimum(res.cost, res.row_masses, res.col_masses)
+    highs = highs_optimum(res.cost, res.row_masses, res.col_masses)
     assert outputs[0] == f"{highs:.12g}\n".encode()

@@ -19,6 +19,7 @@ from copulagrid import (
     topology,
     transport_plan,
 )
+from helpers import highs_optimum
 from reference_transport import _solve_transport as reference_solve
 from test_measure_core import draw_copula, same_bits
 
@@ -123,30 +124,6 @@ def test_unreduced_problems_match_reference_bitwise():
             )
 
 
-def highs_value(res):
-    """Optimal value of the same transport problem by HiGHS at tight tolerances."""
-    return highs_optimum(res.cost, res.row_masses, res.col_masses)
-
-
-def highs_optimum(cost, a, b):
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    m, n = cost.shape
-    lp = linprog(
-        cost.ravel(),
-        A_eq=np.vstack([np.repeat(np.eye(m), n, axis=1), np.tile(np.eye(n), m)]),
-        b_eq=np.concatenate([a, b]),
-        bounds=(0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-            "presolve": False,
-        },
-    )
-    assert lp.status == 0, lp.message
-    return lp.fun
-
-
 def assert_certified(res):
     assert res.feasibility_deviation() <= topology._FEASIBILITY_TOL
     assert res.slackness_deviation() <= topology._SLACKNESS_TOL
@@ -158,7 +135,8 @@ def test_tie_heavy_fuzz_corpus_matches_highs():
     for _ in range(400):
         dims = int(rng.integers(1, 3))
         res = transport_plan(integer_grid_tensor(rng, dims), integer_grid_tensor(rng, dims))
-        assert abs(res.value - highs_value(res)) <= 1e-9
+        highs = highs_optimum(res.cost, res.row_masses, res.col_masses)
+        assert abs(res.value - highs) <= 1e-9
         assert_certified(res)
 
 
@@ -182,7 +160,8 @@ def test_lowest_index_rule_from_first_degenerate_pivot(monkeypatch):
     bland = transport_plan(a, b)
     assert bland.pivots != default.pivots
     assert bland.lowest_index_rule and not default.lowest_index_rule
-    assert abs(bland.value - highs_value(bland)) <= 1e-9
+    highs = highs_optimum(bland.cost, bland.row_masses, bland.col_masses)
+    assert abs(bland.value - highs) <= 1e-9
     assert_certified(bland)
 
 
