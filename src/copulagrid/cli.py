@@ -3,7 +3,8 @@
 Subcommands: ``validate``, ``compose``, ``decompose``, ``distance``,
 ``compact-demo``, ``extremal``.  Reports go to standard output, errors to
 standard error.  Exit codes: 0 pass, 1 parse error, 2 validation failure,
-3 incompatible inputs, 4 unsupported case.
+3 incompatible inputs, 4 unsupported case, 141 standard output closed by its
+reader before the report was written (no traceback).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -49,6 +51,10 @@ from .topology import (
 )
 
 _MAX_PROBES = 4096
+
+#: the exit code when the reader closes standard output early: 128 + SIGPIPE,
+#: what a shell reports for a writer that a closed pipe stopped
+_CLOSED_OUTPUT = 141
 
 
 def _load(path: str, kind=object, refusal: str = ""):
@@ -319,6 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        status = _run(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not in the flush at exit
+    except BrokenPipeError:
+        # nothing more reaches the reader: what is left to flush goes to the null device
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return _CLOSED_OUTPUT
+    return status
+
+
+def _run(args) -> int:
+    """The handler's exit code, or the code of the typed error it raised, reported on stderr."""
     try:
         return args.handler(args)
     except ParseError as exc:

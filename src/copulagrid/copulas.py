@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
@@ -190,30 +189,31 @@ def _cell_weights(n: int, u_j) -> np.ndarray:
     fraction, cells above 0.
     """
     u_j = _as_float(u_j, "copula CDF argument")
-    if math.isnan(u_j) or u_j < 0.0 or u_j > 1.0:
+    if not 0.0 <= u_j <= 1.0:  # false at NaN too
         raise DomainError(f"copula CDF argument {u_j!r} outside [0, 1]")
     bounds, rows = _cell_rows(n)
-    if u_j == 1.0:
-        return rows[n].copy()
     cell = bisect.bisect_right(bounds, u_j) - 1
     w = rows[cell].copy()
-    w[cell] = min(max((u_j - bounds[cell]) * n, 0.0), 1.0)
+    if cell < n:  # at u_j = 1 every cell counts 1
+        w[cell] = min(max((u_j - bounds[cell]) * n, 0.0), 1.0)
     return w
 
 
 def _contract(val: np.ndarray, w: np.ndarray) -> np.ndarray | np.float64:
-    """Contract the first axis of ``val`` with the first axis of the vector or matrix ``w``.
+    """Contract the first axis of C-ordered ``val`` with the first axis of a vector or matrix ``w``.
 
     The same ``np.dot`` on the same operands as
     ``np.tensordot(val, w, axes=([0], [0]))``, so the same bits, without
-    tensordot's bookkeeping.  numpy hands a vector ``w``, like an ``(n, 1)``
-    column, to one BLAS ``dgemv``, and two vectors, like a ``(1, n)`` row and
-    a column, to one ``ddot``, which returns a numpy scalar.
+    tensordot's bookkeeping: the transposed ``val.reshape(n, -1).T`` is the
+    view that tensordot's transpose and reshape of a C-ordered ``val`` give.
+    numpy hands a vector ``w``, like an ``(n, 1)`` column, to one BLAS
+    ``dgemv``, and two vectors, like a ``(1, n)`` row and a column, to one
+    ``ddot``, which returns a numpy scalar.  ``ndarray.dot`` is ``np.dot``
+    without its dispatch.
     """
     if val.ndim == 1 and w.ndim == 1:
-        return np.dot(val, w)
-    at = val.transpose((*range(1, val.ndim), 0)).reshape(-1, w.shape[0])
-    return np.dot(at, w).reshape(val.shape[1:] + w.shape[1:])
+        return val.dot(w)
+    return val.reshape(w.shape[0], -1).T.dot(w).reshape(val.shape[1:] + w.shape[1:])
 
 
 def cdf_eval_copula(c: CheckerboardCopula, u: Sequence[float]) -> float:
@@ -227,7 +227,7 @@ def cdf_eval_copula(c: CheckerboardCopula, u: Sequence[float]) -> float:
     val = c.mass
     for u_j in u:
         val = _contract(val, _cell_weights(c.order, u_j))
-    return min(max(val.item(), 0.0), 1.0)
+    return min(max(float(val), 0.0), 1.0)
 
 
 def to_tensor_measure(c: CheckerboardCopula) -> TensorMeasure:

@@ -80,7 +80,7 @@ def _support_rows(support: np.ndarray) -> list:
     return [int.from_bytes(row, "little") for row in packed.tolist()]
 
 
-def _kuhn(adj: list, match: list, blocked: int = -1, perm=None, flat=None, rows=0, vacant=0):
+def _kuhn(adj: list, match: list, blocked: int, perm: list, flat, rows: int, vacant: int):
     """Extend ``match`` to a perfect matching of the support whose row ``i`` has bitmask ``adj[i]``.
 
     ``match`` maps columns to rows (``-1`` where free) inside the support and
@@ -88,11 +88,10 @@ def _kuhn(adj: list, match: list, blocked: int = -1, perm=None, flat=None, rows=
     moves a row also updates ``perm`` (row to column) and ``flat`` (row ``i``'s
     flat cell ``i * n + perm[i]``) in place; :func:`birkhoff_decompose` keeps
     them from round to round with the bitmasks ``rows`` and ``vacant`` of the
-    free rows and free columns, and without ``perm`` all four are read from
-    ``match``.  Kuhn's augmenting-path search seats the free rows in
-    increasing order and re-seats matched rows recursively.  Each free row
-    starts from one mask of unseen columns (all but the blocked one) and takes
-    as candidates the set bits of ``adj[row] & unseen``, lowest first,
+    free rows and free columns.  Kuhn's augmenting-path search seats the free
+    rows in increasing order and re-seats matched rows recursively.  Each free
+    row starts from one mask of unseen columns (all but the blocked one) and
+    takes as candidates the set bits of ``adj[row] & unseen``, lowest first,
     narrowed after each failed recursion has cleared the bits it saw: the
     columns a walk of the row's support in increasing order would try, in that
     order.  A warm search, where a row besides the blocked column's is seated,
@@ -103,13 +102,6 @@ def _kuhn(adj: list, match: list, blocked: int = -1, perm=None, flat=None, rows=
     matching keeps the blocked pair, from any start.
     """
     n = len(adj)
-    if perm is None:
-        perm, flat = [-1] * n, [0] * n
-        for col, row in enumerate(match):
-            if row >= 0:
-                perm[row] = col
-        rows = sum(1 << row for row in range(n) if perm[row] < 0)
-        vacant = sum(1 << col for col in range(n) if match[col] < 0)
     if n - rows.bit_count() <= (blocked >= 0):
         vacant = 0  # a cold search does not look ahead
     fresh = ~(1 << blocked) if blocked >= 0 else -1

@@ -480,22 +480,23 @@ def cdf_eval_tensor(t: TensorMeasure, point: Sequence[float]) -> float:
         raise CompatibilityError(
             f"point has {len(point)} coordinates, measure has {t.ndim} axes"
         )
-    ends = []
+    below = []
     for x, axis in zip(point, t.grid):
         x = _as_float(x, "cdf argument")
         if math.isnan(x):
             raise DomainError("cdf argument must not be NaN")
-        ends.append(bisect.bisect_right(axis.data, x))
-    return _mass_below(t.mass, ends)
+        below.append(slice(bisect.bisect_right(axis.data, x)))
+    return _mass_below(t.mass, below)
 
 
-def _mass_below(mass: np.ndarray, ends) -> float:
-    """Total of ``mass[:ends[0], :ends[1], ...]``; an end of 0 gives 0.0.
+def _mass_below(mass: np.ndarray, below: list) -> float:
+    """Total of ``mass[:e_0, :e_1, ...]``, ``below`` holding ``slice(e_i)``; an end of 0 gives 0.0.
 
-    The slice's own ``.sum()`` fixes the bits: any other order of
-    accumulation, such as a running prefix sum, rounds differently.
+    The slice's own sum fixes the bits: any other order of accumulation,
+    such as a running prefix sum, rounds differently.  ``np.add.reduce(s,
+    None)`` is the reduction ``s.sum()`` calls, without its Python wrapper.
     """
-    return float(mass[tuple(map(slice, ends))].sum())
+    return float(np.add.reduce(mass[tuple(below)], None))
 
 
 def atomize(m: Marginal, label) -> TensorMeasure:

@@ -7,12 +7,23 @@ spelled ``"+inf"`` and ``"-inf"``.  Documents carry a top-level ``kind`` in
 Decoders read each field through ``_field``, so a string or object where a
 list belongs, or a ``from_joint`` joint of another kind, is a parse error;
 values are the constructors' to check (``Marginal`` owns the pair rule).
+
+:func:`dumps` writes the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` and a newline, but renders strings, integers, lists and
+objects itself, escaping strings with the standard library's C escaper,
+because with ``indent`` set the standard encoder runs in pure Python.  An
+array is encoded in one pass over its flat entries and nested by slicing.
+:func:`loads` parses with ``json.loads``; a list of decimal strings is read
+with one ``map(float, ...)``, and only a list that this pass cannot take
+whole is read entry by entry through :func:`decode_float`, which words the
+error at the first bad entry.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Mapping
 
 import numpy as np
@@ -58,19 +69,36 @@ def decode_float(s) -> float:
     return value
 
 
-def _encode_nested(arr: np.ndarray, encode=None):
-    """:func:`encode_float` of each entry, nested as ``arr``: in a finite array, its ``repr``."""
-    if encode is None:
-        encode = repr if np.isfinite(arr).all() else encode_float
-    if arr.ndim == 1:
-        return list(map(encode, arr.tolist()))
-    return [_encode_nested(sub, encode) for sub in arr]
+def _encode_nested(arr: np.ndarray):
+    """:func:`encode_float` of each entry, nested as ``arr``: in a finite array, its ``repr``.
+
+    The flat array is encoded in one pass, then nested by slicing.
+    """
+    encode = repr if np.isfinite(arr).all() else encode_float
+    out = list(map(encode, arr.ravel().tolist()))
+    for size in reversed(arr.shape[1:]):
+        out = [out[k : k + size] for k in range(0, len(out), size)]
+    return out
 
 
 def _decode_nested(data):
-    if isinstance(data, list):
-        return [_decode_nested(item) for item in data]
-    return decode_float(data)
+    """:func:`decode_float` of each string in the nested lists ``data``.
+
+    A list of strings is parsed with one ``map(float, ...)``; only a list
+    that holds another value, or a string that fails or reads as NaN or an
+    infinity, is read again entry by entry, for :func:`decode_float`'s
+    values and its error at the first bad entry.
+    """
+    if not isinstance(data, list):
+        return decode_float(data)
+    if set(map(type, data)) <= {str}:
+        try:
+            values = list(map(float, data))
+            if all(map(math.isfinite, values)):
+                return values
+        except ValueError:
+            pass
+    return [_decode_nested(item) for item in data]
 
 
 def _decode_label(raw):
@@ -132,7 +160,7 @@ def encode_tensor(t: TensorMeasure) -> dict:
     return {
         "kind": "tensor_measure",
         "labels": list(t.labels),
-        "grid": [[encode_float(x) for x in axis.tolist()] for axis in t.grid],
+        "grid": [_encode_nested(axis) for axis in t.grid],
         "mass": _encode_nested(t.mass),
     }
 
@@ -202,6 +230,36 @@ def loads(text: str):
         raise ParseError("document is nested too deeply") from None
 
 
+def _render(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, lines after the first indented by ``pad``.
+
+    Strings, integers, nonempty lists and nonempty objects with string keys
+    are rendered here, with the C string escaper; any other value goes to
+    ``json.dumps``, whose output holds no raw newline inside a string, so
+    indenting its lines is exact.
+    """
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if kind is list and value:
+        if set(map(type, value)) <= {str}:
+            items = map(_escape, value)
+        else:
+            items = [_render(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if kind is dict and value and set(map(type, value)) <= {str}:
+        items = [f"{_escape(key)}: {_render(value[key], inner)}" for key in sorted(value)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def dumps(doc: dict) -> str:
-    """Canonical rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical rendering: sorted keys, two-space indent, trailing newline.
+
+    The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``,
+    rendered without the standard library's pure-Python indenting encoder.
+    """
+    return _render(doc, "") + "\n"

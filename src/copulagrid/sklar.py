@@ -100,8 +100,10 @@ def joint_cdf(jm: JointMeasure, labels: Iterable, point: Sequence[float]) -> flo
         raise CompatibilityError(
             f"point has {len(point)} coordinates for subset of size {len(given)}"
         )
-    coords = dict(zip(given, point))
-    u = [cdf_eval(jm.marginal(lab), coords[lab]) for lab in subset]
+    if subset != given:
+        coords = dict(zip(given, point))
+        point = [coords[lab] for lab in subset]
+    u = [cdf_eval(jm.marginal(lab), x) for lab, x in zip(subset, point)]
     return cdf_eval_copula(_member(jm.family, subset), u)
 
 
@@ -207,7 +209,7 @@ def _sweep(jm: JointMeasure, eager: TensorMeasure, probes: Iterable) -> SklarChe
     member = family_member(jm.family, subset)
     marginals = [jm.marginal(lab) for lab in subset]
     d = len(subset)
-    memo = [{} for _ in subset]  # per axis: coordinate -> (cell weights, eager slice end)
+    memo = [{} for _ in subset]  # per axis: coordinate -> (cell weights, eager slice below it)
     prefix = []  # the last probe's cell weights
     stack = [member.mass]  # stack[j]: the mass contracted along prefix[:j]
     worst = 0.0
@@ -216,15 +218,15 @@ def _sweep(jm: JointMeasure, eager: TensorMeasure, probes: Iterable) -> SklarChe
     for probe in probes:
         if len(probe) != d:
             raise CompatibilityError(f"point has {len(probe)} coordinates for subset of size {d}")
-        weights, ends = [], []
+        weights, below = [], []
         for j, x in enumerate(probe):
             x = _as_float(x, "cdf argument")
             seen = memo[j].get(x)
             if seen is None:
                 w = _cell_weights(member.order, cdf_eval(marginals[j], x))
-                seen = memo[j][x] = (w, int(eager.grid[j].searchsorted(x, side="right")))
+                seen = memo[j][x] = (w, slice(int(eager.grid[j].searchsorted(x, side="right"))))
             weights.append(seen[0])
-            ends.append(seen[1])
+            below.append(seen[1])
         keep = 0
         while keep < len(prefix) and weights[keep] is prefix[keep]:
             keep += 1
@@ -232,8 +234,8 @@ def _sweep(jm: JointMeasure, eager: TensorMeasure, probes: Iterable) -> SklarChe
         for j in range(keep, d):
             stack.append(_contract(stack[j], weights[j]))
         prefix = weights
-        a = min(max(stack[d].item(), 0.0), 1.0)
-        b = _mass_below(eager.mass, ends)
+        a = min(max(float(stack[d]), 0.0), 1.0)
+        b = _mass_below(eager.mass, below)
         dev = abs(a - b)
         if dev > worst:
             worst, worst_probe = dev, tuple(float(x) for x in probe)

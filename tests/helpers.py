@@ -155,15 +155,32 @@ def highs_optimum(cost, a, b):
     return lp.fun
 
 
+def kuhn(adj, match, blocked=-1):
+    """``extremal._kuhn`` from the matching ``match`` (column to row, ``-1`` where free) alone.
+
+    The permutation, its flat cells and the bitmasks of the free rows and
+    free columns, which ``birkhoff_decompose`` keeps from round to round,
+    are read from ``match``.
+    """
+    n = len(adj)
+    perm, flat = [-1] * n, [0] * n
+    for col, row in enumerate(match):
+        if row >= 0:
+            perm[row] = col
+    rows = sum(1 << row for row in range(n) if perm[row] < 0)
+    vacant = sum(1 << col for col in range(n) if match[col] < 0)
+    return _kuhn(adj, match, blocked, perm, flat, rows, vacant)
+
+
 def perfect_matching(support, forced=(-1, -1)):
     """Perfect matching of the support, containing the edge ``forced`` if given.
 
-    ``extremal._kuhn`` from the matching that holds ``forced`` alone; the
-    support is read once, into row bitmasks, by ``extremal._support_rows``.
+    :func:`kuhn` from the matching that holds ``forced`` alone; the support
+    is read once, into row bitmasks, by ``extremal._support_rows``.
     """
     i0, j0 = forced
     match = [i0 if col == j0 else -1 for col in range(len(support))]
-    return _kuhn(_support_rows(support), match, j0)
+    return kuhn(_support_rows(support), match, j0)
 
 
 def without(support, i0, j0):

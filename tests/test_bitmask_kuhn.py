@@ -25,8 +25,8 @@ from copulagrid import (
     make_independence,
     random_copula,
 )
-from copulagrid.extremal import _kuhn, _support_rows
-from helpers import has_perfect_matching, replay_birkhoff, without
+from copulagrid.extremal import _support_rows
+from helpers import has_perfect_matching, kuhn, replay_birkhoff, without
 from helpers import perfect_matching as _perfect_matching
 from reference_extremal import _perfect_matching as reference_matching
 from reference_extremal import birkhoff_decompose as reference_decompose
@@ -123,17 +123,17 @@ warm_cases = st.tuples(
 
 
 def check_warm_start(support, forced, match):
-    """``_kuhn`` from ``match``: a perfect matching through ``forced`` exactly when one exists."""
+    """``kuhn`` from ``match``: a perfect matching through ``forced`` exactly when one exists."""
     n = len(support)
     i0, j0 = forced
-    got = _kuhn(_support_rows(support), match.copy(), j0)
+    got = kuhn(_support_rows(support), match.copy(), j0)
     assert (got is not None) == has_perfect_matching(without(support, i0, j0))
     if got is not None:
         assert sorted(got) == list(range(n))
         assert all(support[i, j] for i, j in enumerate(got))
         assert got[i0] == j0
     cold = [i0 if col == j0 else -1 for col in range(n)]
-    assert _kuhn(_support_rows(support), cold, j0) == reference_matching(support, forced)
+    assert kuhn(_support_rows(support), cold, j0) == reference_matching(support, forced)
     return got
 
 

@@ -1,15 +1,21 @@
 """The Sklar round trip through ``python -m copulagrid.cli`` processes, and its bytes.
 
 Under ``PYTHONHASHSEED`` 0 and 1 the outputs must be the same bytes: with
-string labels, a set or dict order leaking into an output would differ.
+string labels, a set or dict order leaking into an output would differ.  A
+process whose standard output has no reader left exits 141 with nothing on
+standard error.
 """
 
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 from copulagrid import Marginal, make_comonotone, random_copula, serialize
-from helpers import run_cli
+from helpers import SRC, run_cli
 
 RAMP = Marginal.continuous([(0, 0), (1, 1)])
 COMPOSE = ["compose", "copula.json", "marginals.json", "--out", "joint.json"]
@@ -51,3 +57,23 @@ def test_outputs_are_byte_identical_across_processes_and_hash_seeds(tmp_path):
     with ThreadPoolExecutor(2) as pool:
         first, second = pool.map(outputs, (0, 1))
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [["compact-demo"], ["extremal", "--order", "3"]])
+def test_a_closed_standard_output_ends_the_command_without_a_traceback(tmp_path, argv):
+    # the pipe's read end is closed before the child starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "copulagrid.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            stdout=write,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -6,6 +6,8 @@ writes a finite array's entries with ``repr``, where ``encode_float`` checks
 each one for an infinity or a NaN.  Both must give what the general path
 gives, and an array holding an infinity or a NaN still goes through
 ``encode_float``, which spells the one and refuses the other.
+``measures._mass_below`` sums a slice with ``np.add.reduce(slice, None)``,
+the reduction ``slice.sum()`` calls, and must give its bits.
 """
 
 import math
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from copulagrid import ParseError
-from copulagrid.measures import _as_float
+from copulagrid.measures import _as_float, _mass_below
 from copulagrid.serialize import _encode_nested, encode_float
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -66,3 +68,17 @@ def test_an_array_with_a_nan_is_refused(shape):
     arr.flat[-1] = math.nan
     with pytest.raises(ParseError, match="NaN is not serializable"):
         _encode_nested(arr)
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, max_side=8),
+        elements=st.one_of(st.floats(0.0, 1.0), st.just(-0.0)),
+    ),
+    st.lists(st.integers(0, 8), min_size=3, max_size=3),
+)
+@SETTINGS
+def test_the_mass_below_is_the_slice_sum_bit_for_bit(mass, ends):
+    below = [slice(end) for end in ends[: mass.ndim]]
+    assert _mass_below(mass, below).hex() == float(mass[tuple(below)].sum()).hex()

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copulagrid import birkhoff_decompose
-from copulagrid.extremal import _DUST, _kuhn, _support_rows
-from helpers import perfect_matching
+from copulagrid.extremal import _DUST, _support_rows
+from helpers import kuhn, perfect_matching
 from reference_extremal import _perfect_matching as reference_matching
 from reference_extremal import birkhoff_decompose as reference_decompose
 from test_birkhoff_support import dusty
@@ -35,12 +35,12 @@ def test_a_warm_round_seats_the_freed_row_on_its_free_column():
     match = [-1] * n
     for row, col in seats.items():
         match[col] = row
-    got = _kuhn(_support_rows(support), match, 5)
+    got = kuhn(_support_rows(support), match, 5)
     assert got == [3, 1, 2, 0, 4, 5]
     assert all(got[row] == col for row, col in seats.items())
     # from the forced cell alone the search is the from-scratch one
     cold = [5 if col == 5 else -1 for col in range(n)]
-    assert _kuhn(_support_rows(support), cold, 5) == reference_matching(support, (5, 5))
+    assert kuhn(_support_rows(support), cold, 5) == reference_matching(support, (5, 5))
 
 
 def round_case(case):

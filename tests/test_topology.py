@@ -27,7 +27,7 @@ from copulagrid import (
     validate_copula,
     w1_one_dim,
 )
-from helpers import random_atomic, random_continuous, random_marginal, random_tensor
+from helpers import highs_optimum, random_atomic, random_continuous, random_marginal, random_tensor
 
 
 class TestPhi:
@@ -110,23 +110,13 @@ class TestTransport:
             assert lp == pytest.approx(area, abs=1e-9)
 
     def test_matches_scipy_linprog(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(7)
         for _ in range(10):
             a = random_tensor(rng, (0, 1), max_points=3)
             b = random_tensor(rng, (0, 1), max_points=3)
             res = transport_plan(a, b)
-            m, n = res.cost.shape
-            rows = [np.repeat(np.eye(m), n, axis=1)[i] for i in range(m)]
-            cols = [np.tile(np.eye(n), m)[j] for j in range(n)]
-            lp = linprog(
-                res.cost.ravel(),
-                A_eq=np.array(rows + cols),
-                b_eq=np.concatenate([res.row_masses, res.col_masses]),
-                method="highs",
-            )
-            assert lp.status == 0
-            assert res.value == pytest.approx(lp.fun, abs=1e-9)
+            optimum = highs_optimum(res.cost, res.row_masses, res.col_masses)
+            assert res.value == pytest.approx(optimum, abs=1e-9)
 
 
 class TestW1OneDim:
