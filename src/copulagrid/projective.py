@@ -185,13 +185,15 @@ def _members_match(a, b, tol: float):
 def check_consistency(
     f: ProjectiveFamily, subsets: Iterable[Iterable], tol: float = 1e-12
 ) -> ConsistencyReport:
-    """Verify the projection equations on every nested pair among ``subsets``.
+    """Verify the projection equations on every nested pair among ``subsets``, in one pass.
 
-    For each pair ``J1 <= J2`` the member over ``J2`` is marginalized onto
-    ``J1`` and compared entrywise with the member over ``J1``.  Each subset's
-    rule is also re-evaluated once, under the family lock, and compared against
-    the cached member, so a nondeterministic rule is reported as a violation
-    rather than silently cached.  Violations are collected, never raised.
+    Each listed subset's member is read once.  For each ordered pair of list
+    entries with ``J1 <= J2`` the member over ``J2`` is marginalized onto
+    ``J1`` and compared entrywise with the member over ``J1``, within ``tol``.
+    An entry paired with itself instead re-runs its rule, under the family
+    lock, and compares the result with the cached member bit for bit, so a
+    nondeterministic rule is reported there rather than silently cached.
+    Violations are collected, never raised.
     """
     if not (_real_number(tol) and tol >= 0):
         raise DomainError(f"tol must be a real number >= 0, got {tol!r}")
@@ -200,24 +202,21 @@ def check_consistency(
         raise DomainError("check_consistency needs at least one subset")
     # read the module-level marginalizers per call, so rebinding them reaches here
     marginalize = marginalize_copula if f.kind == COPULA else marginalize_tensor
+    listed = [(j, frozenset(j), _member(f, j)) for j in canon]
     checks = []
-    for subset in canon:
-        first = family_member(f, subset)
-        with f._lock:
-            again = _check_member(f, subset, f.rule(subset))
-        dev, msg = _members_match(first, again, tol=0.0)
-        if dev != 0.0:
-            checks.append(
-                PairCheck(subset, subset, dev, False, f"rule is nondeterministic: {msg}")
-            )
-    sets = [frozenset(j) for j in canon]
-    for j1, s1 in zip(canon, sets):
-        for j2, s2 in zip(canon, sets):
-            if not s1 <= s2:
+    for i, (j1, s1, m1) in enumerate(listed):
+        for k, (j2, s2, m2) in enumerate(listed):
+            if i == k:
+                with f._lock:
+                    other, bound = _check_member(f, j1, f.rule(j1)), 0.0
+            elif s1 <= s2:
+                other, bound = marginalize(m2, j1), tol
+            else:
                 continue
-            projected = marginalize(family_member(f, j2), j1)
-            dev, msg = _members_match(family_member(f, j1), projected, tol)
-            checks.append(PairCheck(j1, j2, dev, dev <= tol, msg))
+            dev, msg = _members_match(m1, other, bound)
+            if msg and i == k:
+                msg = f"rule is nondeterministic: {msg}"
+            checks.append(PairCheck(j1, j2, dev, dev <= bound, msg))
     passed = all(c.ok for c in checks)
     dev_overall = max((c.deviation for c in checks if np.isfinite(c.deviation)), default=0.0)
     return ConsistencyReport(passed, tuple(checks), dev_overall)

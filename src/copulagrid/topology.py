@@ -37,7 +37,6 @@ certifies it by weak duality on every call.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from array import array
 from collections import namedtuple
@@ -554,9 +553,8 @@ def fdd_distance(
     if not isinstance(config, FddMetricConfig):
         raise ConfigurationError(f"config must be an FddMetricConfig, not {config!r}")
     total = 0.0
-    for k, subset in enumerate(
-        itertools.islice(canonical_subsets(f.universe), config.depth), start=1
-    ):
+    # range, unlike islice, takes a depth beyond sys.maxsize
+    for k, subset in zip(range(1, config.depth + 1), canonical_subsets(f.universe)):
         fm, gm = family_member(f, subset), family_member(g, subset)
         d = _line_distance(fm, gm) if len(subset) == 1 else transport_distance(fm, gm)
         total += 2.0 ** (-k) * min(1.0, d)

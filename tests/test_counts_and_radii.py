@@ -54,6 +54,31 @@ def test_a_depth_below_one_keeps_its_message():
         FddMetricConfig(depth=0)
 
 
+def test_a_depth_beyond_sys_maxsize_takes_every_subset_of_a_finite_universe():
+    # the two labels have three subsets, so depth 3 enumerates them all
+    universe = IndexUniverse.finite((0, 1))
+    f, g = independence_family(universe, 2), comonotone_family(universe, 2)
+    for a, b in [(f, f), (f, g)]:
+        huge = fdd_distance(a, b, FddMetricConfig(depth=2**70))
+        assert huge.hex() == fdd_distance(a, b, FddMetricConfig(depth=3)).hex()
+
+
+def test_distance_takes_a_depth_beyond_sys_maxsize(capsys, tmp_path):
+    paths = []
+    for rule in ("independence", "comonotone"):
+        universe = {"type": "finite", "labels": [0, 1]}
+        doc = {"kind": "family_spec", "rule": rule, "order": 2, "universe": universe}
+        paths.append(tmp_path / f"{rule}.json")
+        paths[-1].write_text(serialize.dumps(doc))
+    for a, b in [(paths[0], paths[0]), tuple(paths)]:
+        outputs = []
+        for depth in ("1180591620717411303424", "3"):
+            code = main(["distance", str(a), str(b), "--fdd", "--depth", depth])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][1].err == ""
+
+
 def functional(c):
     return float(np.max(c.mass))
 
